@@ -5,7 +5,7 @@
 // (src/systems/sharded_campaign): 8 node groups of LIFL data plane + leaf
 // hierarchy ingesting a dense client-upload wave (the fan-in regime of
 // §5/Fig. 9), with leaf aggregates crossing groups through the
-// conservative-window mailboxes. The *same* wiring runs at every shard
+// window-barrier mailboxes. The *same* wiring runs at every shard
 // count — results are bitwise identical (tests/sharded_sim_test.cpp) — so
 // the sweep isolates pure execution scaling: 1 shard is the single-threaded
 // calendar core, K shards run K event loops under time-window barriers.
@@ -37,8 +37,7 @@ using namespace lifl;
 namespace {
 
 sys::ShardedCampaignConfig bench_campaign(std::size_t shards,
-                                          std::size_t scale,
-                                          sim::SyncMode sync) {
+                                          std::size_t scale) {
   sys::ShardedCampaignConfig cfg;
   cfg.shards = shards;
   cfg.groups = 8;
@@ -55,30 +54,15 @@ sys::ShardedCampaignConfig bench_campaign(std::size_t shards,
   cfg.seed = 4242;
   cfg.gateway_cores = 4;
   cfg.gateway_queues = 0;  // one RSS queue per gateway core
-  cfg.sync_mode = sync;
   return cfg;
-}
-
-const char* sync_name(sim::SyncMode m) {
-  switch (m) {
-    case sim::SyncMode::kConservative:
-      return "conservative";
-    case sim::SyncMode::kAdaptive:
-      return "adaptive";
-    case sim::SyncMode::kOptimistic:
-      return "optimistic";
-  }
-  return "?";
 }
 
 struct Sample {
   std::size_t shards = 0;
-  sim::SyncMode sync = sim::SyncMode::kConservative;
   std::uint64_t events = 0;
   double wall_secs = 0.0;
   std::uint64_t windows = 0;
   std::uint64_t windows_skipped = 0;
-  std::uint64_t rollbacks = 0;
   std::uint64_t cross_posts = 0;
   // Per-shard barrier accounting: windows a shard participated in, windows
   // where it had nothing to run, and wall seconds it sat idle at barriers.
@@ -88,17 +72,14 @@ struct Sample {
   double events_per_sec() const { return events / wall_secs; }
 };
 
-Sample run_once(std::size_t shards, std::size_t scale, sim::SyncMode sync) {
-  const auto r =
-      sys::run_sharded_campaign(bench_campaign(shards, scale, sync));
+Sample run_once(std::size_t shards, std::size_t scale) {
+  const auto r = sys::run_sharded_campaign(bench_campaign(shards, scale));
   Sample s;
   s.shards = shards;
-  s.sync = sync;
   s.events = r.events;
   s.wall_secs = r.wall_secs;
   s.windows = r.windows;
   s.windows_skipped = r.windows_skipped;
-  s.rollbacks = r.rollbacks;
   s.cross_posts = r.cross_posts;
   s.shard_windows = r.shard_windows;
   s.shard_empty_windows = r.shard_empty_windows;
@@ -107,11 +88,10 @@ Sample run_once(std::size_t shards, std::size_t scale, sim::SyncMode sync) {
 }
 
 /// Best of `reps` (CI runners are noisy; parallel speedups doubly so).
-Sample best_of(int reps, std::size_t shards, std::size_t scale,
-               sim::SyncMode sync) {
-  Sample best = run_once(shards, scale, sync);
+Sample best_of(int reps, std::size_t shards, std::size_t scale) {
+  Sample best = run_once(shards, scale);
   for (int i = 1; i < reps; ++i) {
-    const Sample s = run_once(shards, scale, sync);
+    const Sample s = run_once(shards, scale);
     if (s.events_per_sec() > best.events_per_sec()) best = s;
   }
   return best;
@@ -138,33 +118,25 @@ int main(int argc, char** argv) {
       scale, hw);
 
   // Best-of-3: parallel speedups on shared CI runners are noisy, and the
-  // 4-shard sample feeds a hard gate. Multi-shard counts additionally run
-  // the adaptive and optimistic sync modes — results are bitwise identical
-  // (tests/sync_equivalence_test.cpp), so the deltas are pure barrier cost.
+  // 4-shard sample feeds a hard gate. Results are bitwise identical across
+  // shard counts (tests/sync_equivalence_test.cpp), so the deltas are pure
+  // execution scaling net of barrier cost.
   const std::vector<std::size_t> shard_counts{1, 2, 4, 8};
-  const sim::SyncMode modes[] = {sim::SyncMode::kConservative,
-                                 sim::SyncMode::kAdaptive,
-                                 sim::SyncMode::kOptimistic};
   std::vector<Sample> samples;
   for (const std::size_t k : shard_counts) {
-    for (const sim::SyncMode m : modes) {
-      if (k == 1 && m != sim::SyncMode::kConservative) {
-        continue;  // sync modes are a no-op without barriers
-      }
-      samples.push_back(best_of(3, k, scale, m));
-    }
+    samples.push_back(best_of(3, k, scale));
   }
 
   const double base = samples[0].events_per_sec();
-  sys::Table t({"shards", "sync", "events", "wall(s)", "events/s", "speedup",
-                "windows", "skipped", "rollbacks", "cross_posts"});
+  sys::Table t({"shards", "events", "wall(s)", "events/s", "speedup",
+                "windows", "skipped", "cross_posts"});
   for (const auto& s : samples) {
-    t.row({std::to_string(s.shards), sync_name(s.sync),
-           std::to_string(s.events), sys::fmt(s.wall_secs, 3),
+    t.row({std::to_string(s.shards), std::to_string(s.events),
+           sys::fmt(s.wall_secs, 3),
            sys::fmt(s.events_per_sec() / 1e6, 2) + "M",
            sys::fmt(s.events_per_sec() / base, 2) + "x",
            std::to_string(s.windows), std::to_string(s.windows_skipped),
-           std::to_string(s.rollbacks), std::to_string(s.cross_posts)});
+           std::to_string(s.cross_posts)});
   }
   t.print("Sharded simulator core: aggregate throughput vs shard count");
 
@@ -181,19 +153,16 @@ int main(int argc, char** argv) {
     for (std::size_t i = 0; i < samples.size(); ++i) {
       const auto& s = samples[i];
       std::fprintf(out,
-                   "    {\"shards\": %zu, \"sync\": \"%s\", "
-                   "\"events\": %llu, "
+                   "    {\"shards\": %zu, \"events\": %llu, "
                    "\"wall_secs\": %.6f, \"events_per_sec\": %.0f, "
                    "\"speedup\": %.3f, \"windows\": %llu, "
-                   "\"windows_skipped\": %llu, \"rollbacks\": %llu, "
+                   "\"windows_skipped\": %llu, "
                    "\"cross_posts\": %llu,\n     \"per_shard\": [",
-                   s.shards, sync_name(s.sync),
-                   static_cast<unsigned long long>(s.events),
+                   s.shards, static_cast<unsigned long long>(s.events),
                    s.wall_secs, s.events_per_sec(),
                    s.events_per_sec() / base,
                    static_cast<unsigned long long>(s.windows),
                    static_cast<unsigned long long>(s.windows_skipped),
-                   static_cast<unsigned long long>(s.rollbacks),
                    static_cast<unsigned long long>(s.cross_posts));
       for (std::size_t p = 0; p < s.shard_windows.size(); ++p) {
         std::fprintf(
@@ -212,16 +181,10 @@ int main(int argc, char** argv) {
     std::printf("\nwrote BENCH_shard_scaling.json\n");
   }
 
-  // ---- gate: >= 3x at 4 shards (best sync mode), where the hardware can
-  // express it. The adaptive/optimistic modes exist to push past the
-  // barrier ceiling, so the gate holds the best of the three to the floor.
+  // ---- gate: >= 3x at 4 shards, where the hardware can express it.
   double speedup4 = 0.0;
-  const char* mode4 = "";
   for (const auto& s : samples) {
-    if (s.shards == 4 && s.events_per_sec() / base > speedup4) {
-      speedup4 = s.events_per_sec() / base;
-      mode4 = sync_name(s.sync);
-    }
+    if (s.shards == 4) speedup4 = s.events_per_sec() / base;
   }
   bool gate = hw >= 4;
   if (const char* env = std::getenv("LIFL_SHARD_BENCH_GATE")) {
@@ -241,7 +204,6 @@ int main(int argc, char** argv) {
                  speedup4);
     return 1;
   }
-  std::printf("gate OK: 4-shard speedup %.2fx (%s sync) >= 3x\n", speedup4,
-              mode4);
+  std::printf("gate OK: 4-shard speedup %.2fx >= 3x\n", speedup4);
   return 0;
 }

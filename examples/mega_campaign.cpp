@@ -48,13 +48,11 @@
 // (scored/cluster learn per-tier completion telemetry and steer away from
 // straggler tiers). The summary then adds a per-tier participation table.
 //
-// With `--sync-mode=conservative|adaptive|optimistic` the sharded core
-// picks its barrier discipline (src/sim/sharded_simulator): fixed
-// conservative windows, promise-widened adaptive windows that skip the
-// empty barriers of diurnal troughs, or optimistic speculation with
-// rollback-replay on straggling cross-posts. Results are bitwise identical
-// across all three and across shard counts; the summary reports windows
-// skipped and rollbacks taken.
+// With `--shards=K > 1` the sharded core synchronizes its shards with
+// window barriers (src/sim/sharded_simulator) whose horizon the campaign's
+// outbound promises widen, skipping the empty barriers of diurnal troughs.
+// Results are bitwise identical across shard counts; the summary reports
+// the windows run and skipped.
 //
 // With `--trace=FILE.json` the run records a sim-time trace (round spans,
 // aggregator lifecycle, upload sessions, barrier windows) into per-shard
@@ -287,12 +285,10 @@ struct FaultOpts {
 /// Run the campaign on the sharded core and print the per-round table.
 int run_sharded(const CampaignConfig& cfg, std::size_t shards,
                 sys::HierarchyMode mode, double replan_interval, bool reuse,
-                sim::SyncMode sync, const CheckpointOpts& ck,
-                const AsyncOpts& as, const FaultOpts& fo, const EdgeOpts& eo,
-                const ObsOpts& oo) {
+                const CheckpointOpts& ck, const AsyncOpts& as,
+                const FaultOpts& fo, const EdgeOpts& eo, const ObsOpts& oo) {
   sys::ShardedCampaignConfig scfg;
   scfg.shards = shards;
-  scfg.sync_mode = sync;
   scfg.groups = cfg.nodes;
   scfg.rounds = cfg.rounds;
   scfg.updates_per_leaf = cfg.updates_per_leaf;
@@ -335,19 +331,14 @@ int run_sharded(const CampaignConfig& cfg, std::size_t shards,
 
   const bool planned = mode == sys::HierarchyMode::kPlanned;
   const bool is_async = mode == sys::HierarchyMode::kAsync;
-  const char* sync_name = sync == sim::SyncMode::kConservative
-                              ? "conservative"
-                              : sync == sim::SyncMode::kAdaptive
-                                    ? "adaptive"
-                                    : "optimistic";
   std::printf(
       "Sharded mega campaign: %zu mobile clients, %zu node groups on %zu "
-      "shard threads, %zu %s x %zu uploads, %s hierarchy%s, %s sync\n\n",
+      "shard threads, %zu %s x %zu uploads, %s hierarchy%s\n\n",
       scfg.population, scfg.groups, shards, scfg.rounds,
       is_async ? "model versions" : "rounds", scfg.uploads_per_round(),
       is_async ? "async (FedBuff stream)"
                : (planned ? "planned (streaming)" : "fixed"),
-      planned && !reuse ? " (reuse off)" : "", sync_name);
+      planned && !reuse ? " (reuse off)" : "");
   if (as.straggler_fraction > 0.0) {
     std::printf("stragglers: %.0f%% of uploads delayed %.0f s\n\n",
                 100.0 * as.straggler_fraction, as.straggler_delay_secs);
@@ -403,10 +394,9 @@ int run_sharded(const CampaignConfig& cfg, std::size_t shards,
       r.events / r.wall_secs / 1e6,
       static_cast<unsigned long long>(r.windows),
       static_cast<unsigned long long>(r.cross_posts));
-  if (sync != sim::SyncMode::kConservative) {
-    std::printf("%s sync: %llu windows skipped, %llu rollbacks\n", sync_name,
-                static_cast<unsigned long long>(r.windows_skipped),
-                static_cast<unsigned long long>(r.rollbacks));
+  if (shards > 1) {
+    std::printf("%llu windows skipped by promise widening\n",
+                static_cast<unsigned long long>(r.windows_skipped));
   }
   if (planned || is_async) {
     std::printf(
@@ -501,8 +491,6 @@ int main(int argc, char** argv) {
   sys::HierarchyMode mode = sys::HierarchyMode::kFixed;
   double replan_interval = 5.0;
   bool reuse = true;
-  bool sync_flag = false;
-  sim::SyncMode sync = sim::SyncMode::kConservative;
   CheckpointOpts ck;
   AsyncOpts as;
   FaultOpts fo;
@@ -512,7 +500,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "usage: %s [population >= 1000] [--shards=K] "
                  "[--hierarchy=fixed|planned|async] [--replan-interval=SECS] "
-                 "[--sync-mode=conservative|adaptive|optimistic] "
                  "[--reuse=0|1] [--checkpoint=PATH] [--resume=PATH] "
                  "[--checkpoint-every=SECS] [--async-deadline=SECS] "
                  "[--stragglers=FRACTION] [--straggler-delay=SECS] "
@@ -538,19 +525,6 @@ int main(int argc, char** argv) {
         mode = sys::HierarchyMode::kFixed;
       } else if (std::strcmp(argv[a] + 12, "async") == 0) {
         mode = sys::HierarchyMode::kAsync;
-      } else {
-        return usage();
-      }
-      continue;
-    }
-    if (std::strncmp(argv[a], "--sync-mode=", 12) == 0) {
-      sync_flag = true;
-      if (std::strcmp(argv[a] + 12, "conservative") == 0) {
-        sync = sim::SyncMode::kConservative;
-      } else if (std::strcmp(argv[a] + 12, "adaptive") == 0) {
-        sync = sim::SyncMode::kAdaptive;
-      } else if (std::strcmp(argv[a] + 12, "optimistic") == 0) {
-        sync = sim::SyncMode::kOptimistic;
       } else {
         return usage();
       }
@@ -714,7 +688,7 @@ int main(int argc, char** argv) {
   const bool ck_flag =
       ck.every_secs > 0.0 || !ck.checkpoint.empty() || !ck.resume.empty();
   if (ck_flag && ck.every_secs <= 0.0) ck.every_secs = 20.0;
-  if ((hierarchy_flag || ck_flag || sync_flag ||
+  if ((hierarchy_flag || ck_flag ||
        as.straggler_fraction > 0.0 || fo.any() || eo.any() || oo.any()) &&
       shards == 0) {
     shards = 1;
@@ -729,8 +703,8 @@ int main(int argc, char** argv) {
     eo.tiers = {0.4, 0.3, 0.3};
   }
   if (shards > 0) {
-    return run_sharded(cfg, shards, mode, replan_interval, reuse, sync, ck,
-                       as, fo, eo, oo);
+    return run_sharded(cfg, shards, mode, replan_interval, reuse, ck, as, fo,
+                       eo, oo);
   }
 
   std::printf(

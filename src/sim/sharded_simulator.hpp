@@ -9,7 +9,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -21,49 +20,6 @@
 
 namespace lifl::sim {
 
-/// How multi-shard window barriers are synchronized. 1-shard mode ignores
-/// the knob entirely (no barriers run), so every mode is trivially
-/// bit-identical to the plain core at K = 1.
-enum class SyncMode : std::uint8_t {
-  /// Every window runs to `t_min + lookahead` — the classic bounded-lag
-  /// horizon, one barrier per lookahead of simulated time under load.
-  kConservative = 0,
-  /// Widen the horizon using per-shard outbound *promises* ("no
-  /// cross-shard delivery before T"): provably-empty barriers are
-  /// skipped, results stay bitwise identical to conservative. Sound.
-  kAdaptive,
-  /// Adaptive, plus speculation: when the cross-post traffic EWMA says
-  /// the mailboxes are idle, run past the sound horizon. A straggling
-  /// post landing in a receiver's past raises `CausalityViolation`; the
-  /// driver rolls back to its last commit and replays deterministically.
-  kOptimistic,
-};
-
-/// Raised by a multi-shard run in `kOptimistic` mode when a speculatively
-/// executed window is invalidated: a cross-shard post surfaced at a
-/// barrier with a delivery time at or before its receiver's clock. The
-/// simulator's state is torn past the violation — the caller must discard
-/// it, restore its model from the last commit, and replay with
-/// `Config::spec_fence = receiver_now` (speculation stays disabled below
-/// the fence, so the replay is sound through the violated region).
-class CausalityViolation : public std::runtime_error {
- public:
-  CausalityViolation(SimTime post_time, SimTime receiver_now,
-                     std::size_t src, std::size_t dst)
-      : std::runtime_error(
-            "ShardedSimulator: speculative window invalidated by a "
-            "straggling cross-shard post"),
-        post_time(post_time),
-        receiver_now(receiver_now),
-        src(src),
-        dst(dst) {}
-
-  SimTime post_time;      ///< delivery time of the straggling post
-  SimTime receiver_now;   ///< max clock over all violated receivers
-  std::size_t src;        ///< posting shard of the first violator
-  std::size_t dst;        ///< receiving shard of the first violator
-};
-
 /// A sharded discrete-event simulator: K independent `Simulator` cores, one
 /// per worker thread, synchronized with conservative time windows.
 ///
@@ -74,30 +30,26 @@ class CausalityViolation : public std::runtime_error {
 /// through `post`, which enqueues the event into a single-writer mailbox;
 /// mailboxes are exchanged at window barriers.
 ///
-/// Window protocol (classic conservative / bounded-lag synchronization):
+/// Window protocol (bounded-lag synchronization widened by promises):
 /// every cross-shard event carries a delivery time at least `lookahead`
 /// after the sender's clock — `lookahead` is the minimum cross-shard
 /// latency of the model (`calib::kCrossShardLatencySecs`: no network hop
 /// between node groups can complete faster). Each window the coordinator
 ///   1. drains all mailboxes into the destination shards, in deterministic
 ///      (time, source shard, source sequence) order,
-///   2. computes the horizon H = min over shards of the next event time,
-///      plus `lookahead`,
+///   2. computes the horizon H = min over shards of
+///      max(next event time + `lookahead`, the shard's outbound promise),
+///      capped at `kMaxLookaheads` lookaheads past the bounded-lag bound,
 ///   3. releases all shards to execute events with t < H in parallel.
-/// Any event posted during the window happens at a time >= the window's
-/// minimum, so its delivery lands at or beyond H — never in a receiver's
-/// past. Events therefore always execute in nondecreasing time order per
-/// shard, and delivery order of cross events is independent of the shard
-/// count.
-///
-/// `Config::sync` relaxes the horizon beyond the conservative bound:
-/// adaptive mode widens H using per-shard outbound promises
-/// (`set_promise`) — still provably sound, so results stay bitwise equal —
-/// and optimistic mode additionally speculates past the sound horizon
-/// when the cross-post EWMA says the mailboxes are idle, detecting any
-/// resulting causality violation at the next drain and surfacing it as
-/// `CausalityViolation` for the driver to roll back and replay (see
-/// docs/ARCHITECTURE.md, "Shard synchronization").
+/// No shard can post below its own bound during the window (its events
+/// run at or after its next event time, and a promise is enforced at
+/// `post`), so every delivery lands at or beyond H — never in a
+/// receiver's past. Events therefore always execute in nondecreasing time
+/// order per shard, and delivery order of cross events is independent of
+/// the shard count. With no promise installed (`set_promise`) a shard's
+/// bound is plain `next + lookahead`, and H is the classic conservative
+/// `t_min + lookahead` (see docs/ARCHITECTURE.md, "Shard
+/// synchronization").
 ///
 /// Determinism: with one shard, `run()` degenerates to the plain
 /// single-threaded `Simulator::run()` (no threads, no barriers — bit
@@ -115,28 +67,21 @@ class ShardedSimulator {
  public:
   struct Config {
     std::size_t shards = 1;
-    /// Conservative window lookahead — must be a lower bound on the
-    /// delivery delay of every `post` (post clamps to it).
+    /// Window lookahead — must be a lower bound on the delivery delay of
+    /// every `post` (post clamps to it).
     SimTime lookahead = calib::kCrossShardLatencySecs;
-    /// Window synchronization mode (see `SyncMode`).
-    SyncMode sync = SyncMode::kConservative;
-    /// Caps both the adaptive widening and the optimistic speculation
-    /// bonus, in lookaheads per window. The cap keeps every window
-    /// finite (idle tails and daemon chains would otherwise run
-    /// unbounded) and bounds how far a window can straddle a `run_to`
-    /// mark.
-    std::uint32_t spec_max_lookaheads = 256;
-    /// Speculation fence for optimistic rollback-replay: windows whose
-    /// minimum next-event time lies below the fence never speculate, so
-    /// a replay is sound through the region that was invalidated.
-    SimTime spec_fence = 0.0;
   };
 
-  /// Always-on per-shard barrier accounting (the optimistic-sync roadmap
-  /// item's baseline data). `idle_wall_secs` is real wall time the shard
-  /// spent finished at a window barrier waiting for the slowest shard —
-  /// it never feeds back into the simulation, so recording it keeps
-  /// results bitwise identical.
+  /// Cap on the promise widening, in lookaheads past the bounded-lag
+  /// horizon. It keeps every window finite (idle tails and daemon chains
+  /// would otherwise run unbounded) and bounds how far a window can
+  /// straddle a `run_to` mark.
+  static constexpr std::uint32_t kMaxLookaheads = 256;
+
+  /// Always-on per-shard barrier accounting. `idle_wall_secs` is real wall
+  /// time the shard spent finished at a window barrier waiting for the
+  /// slowest shard — it never feeds back into the simulation, so recording
+  /// it keeps results bitwise identical.
   struct WindowStats {
     std::uint64_t windows = 0;        ///< windows this shard executed
     std::uint64_t empty_windows = 0;  ///< windows with zero events to run
@@ -195,21 +140,18 @@ class ShardedSimulator {
   std::uint64_t cross_posts() const noexcept;
   /// Window barriers executed by multi-shard `run()` calls.
   std::uint64_t windows() const noexcept { return windows_; }
-  /// Conservative barriers provably skipped by adaptive/optimistic
-  /// horizon widening (an estimate: each opened window adds the number of
-  /// whole lookaheads it ran beyond the conservative horizon). Zero in
-  /// conservative mode.
+  /// Bounded-lag barriers provably skipped by promise widening (an
+  /// estimate: each opened window adds the number of whole lookaheads it
+  /// ran beyond `t_min + lookahead`). Zero when no promise is installed.
   std::uint64_t windows_skipped() const noexcept { return windows_skipped_; }
-  /// The configured synchronization mode.
-  SyncMode sync_mode() const noexcept { return sync_; }
 
-  /// Install shard `s`'s outbound promise for adaptive/optimistic
-  /// horizons (an empty function uninstalls it). The function must return
+  /// Install shard `s`'s outbound promise, which widens the window
+  /// horizon (an empty function uninstalls it). The function must return
   /// a lower bound on the delivery time of any cross-shard `post` shard
   /// `s` will make from events it has not yet executed — considering the
   /// shard's *entire* future behavior from its current state, not just
   /// its next event. Return 0 for "no promise" (the shard contributes its
-  /// conservative bound only) and +infinity for "this shard will never
+  /// bounded-lag bound only) and +infinity for "this shard will never
   /// post again this run". The coordinator evaluates promises in the
   /// serial phase of every opened window, with all workers parked at the
   /// barrier, so the function may freely read the model state of shard
@@ -271,12 +213,11 @@ class ShardedSimulator {
   /// event time reaches `mark` (+infinity for an unbounded run).
   std::uint64_t run_impl(SimTime mark);
   /// Pick the horizon of the window about to open (serial phase):
-  /// conservative `t_min + lookahead`, widened by promises in adaptive /
-  /// optimistic mode, plus the speculation bonus when the traffic EWMA
-  /// says the mailboxes are idle. Also ticks the EWMA and the
-  /// skipped-window estimate — called exactly once per *opened* window,
-  /// after the `run_to` mark check, so pausing stays bit-transparent.
-  SimTime plan_window(SimTime t_min, std::size_t drained);
+  /// `t_min + lookahead`, widened by the shards' promises. Also caches the
+  /// promises for `post` and ticks the skipped-window estimate — called
+  /// exactly once per *opened* window, after the `run_to` mark check, so
+  /// pausing stays bit-transparent.
+  SimTime plan_window(SimTime t_min);
   /// Spawn the K-1 worker threads on first multi-shard use; they persist —
   /// parked on the epoch wait — across run/run_to calls (a mark-sliced
   /// checkpointed round would otherwise pay a thread create/join per
@@ -295,9 +236,6 @@ class ShardedSimulator {
   void record_error() noexcept;
 
   SimTime lookahead_;
-  SyncMode sync_ = SyncMode::kConservative;
-  std::uint32_t spec_max_ = 256;
-  SimTime fence_ = 0.0;
   std::vector<ShardCell> shards_;
   std::vector<Mailbox> mail_;
   std::vector<CrossEvent> drain_scratch_;
@@ -306,7 +244,7 @@ class ShardedSimulator {
   std::uint64_t windows_skipped_ = 0;
   obs::TraceRecorder* trace_ = nullptr;  ///< passive; not owned
 
-  // ---- adaptive/optimistic horizon state (coordinator-owned) ----------
+  // ---- promise-widened horizon state (coordinator-owned) --------------
   /// Per-shard outbound promise functions (empty = no promise).
   std::vector<std::function<SimTime()>> promises_;
   /// Promise bounds cached at window open; `post` enforces them (a post
@@ -314,14 +252,6 @@ class ShardedSimulator {
   /// the coordinator in the serial phase, read by workers during the
   /// window — the barrier orders the accesses. Reset to 0 between runs.
   std::vector<SimTime> promised_;
-  /// Per-(src,dst)-pair cross events drained since the last opened
-  /// window, and the EWMA of that rate (`calib::kEwmaAlpha`); the
-  /// busiest-pair EWMA gates optimistic speculation.
-  std::vector<std::uint64_t> pair_count_;
-  std::vector<double> pair_ewma_;
-  /// Current speculation bonus in lookaheads: doubles every quiet window
-  /// up to `spec_max_`, collapses to 0 on any cross traffic.
-  std::uint32_t spec_bonus_ = 0;
 
   // ---- window barrier (used only when shard_count() > 1) --------------
   // The coordinator publishes `window_end_` then bumps `epoch_`; workers

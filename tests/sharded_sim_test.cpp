@@ -207,13 +207,10 @@ TEST(ShardedSim, MailboxDeliversInTimestampOrderAcrossWindows) {
 // ---------------------------------------------------------------------------
 // Adversarial churn stress: ~50k events across 8 logical groups whose
 // cross-posts land exactly on window-boundary grid points, exactly at the
-// conservative horizon (now + lookahead), and one tick inside the
-// speculation horizon — the three places a sync-mode bug would first
-// corrupt delivery order. Every (shard count x sync mode) combination must
-// reproduce the 1-shard oracle's per-group delivery log bitwise; the
-// optimistic runs recover from real rollbacks by whole-model replay with
-// the fence raised (the toy equivalent of the campaign driver's
-// commit-restore loop, with t = 0 as the only commit).
+// bounded-lag horizon (now + lookahead), and one tick past it — the three
+// places a window-protocol bug would first corrupt delivery order. At every
+// shard count, runs with and without honest outbound promises must
+// reproduce the 1-shard oracle's per-group delivery log bitwise.
 
 struct ChurnStep {
   double at;        ///< group-local event time
@@ -238,7 +235,7 @@ std::vector<std::vector<ChurnStep>> churn_plans() {
     double t = rng.uniform(0.0, 0.02);
     for (int i = 0; i < 4500; ++i) {
       // Dense bursts on a lookahead-aligned grid, with occasional idle
-      // troughs long enough for the optimistic speculation bonus to ramp.
+      // troughs long enough for promises to widen the windows.
       const double u = rng.uniform(0.0, 1.0);
       if (u < 0.5) {
         t += kChurnLookahead *
@@ -261,9 +258,9 @@ std::vector<std::vector<ChurnStep>> churn_plans() {
           st.delivery = kChurnLookahead *
                         std::ceil(floor_t / kChurnLookahead);
         } else if (v < 0.7) {
-          st.delivery = floor_t;  // exactly at the conservative horizon
+          st.delivery = floor_t;  // exactly at the bounded-lag horizon
         } else if (v < 0.9) {
-          st.delivery = floor_t + kChurnLookahead * 1e-9;  // one tick inside
+          st.delivery = floor_t + kChurnLookahead * 1e-9;  // one tick past
         } else {
           st.delivery = floor_t + rng.uniform(0.0, 5.0 * kChurnLookahead);
         }
@@ -289,25 +286,37 @@ struct ChurnDelivery {
 /// One full run of the churn model on `shards` shards (groups dealt round
 /// robin). Returns per-group delivery logs; each group's log is written
 /// only by its owning shard's thread, in that shard's deterministic
-/// execution order.
+/// execution order. With `promises`, each shard promises the earliest
+/// delivery its groups have not yet posted (the suffix minimum of their
+/// schedules — honest, so the run must not throw).
 std::vector<std::vector<ChurnDelivery>> churn_run(
     const std::vector<std::vector<ChurnStep>>& plans, std::size_t shards,
-    lifl::sim::SyncMode sync, double fence, std::uint64_t* dispatched,
-    std::uint64_t* skipped) {
+    bool promises, std::uint64_t* dispatched, std::uint64_t* skipped) {
   ShardedSimulator::Config cfg;
   cfg.shards = shards;
   cfg.lookahead = kChurnLookahead;
-  cfg.sync = sync;
-  cfg.spec_fence = fence;
   ShardedSimulator sharded(cfg);
   std::vector<std::vector<ChurnDelivery>> logs(kChurnGroups);
+  // Next unexecuted step per group (written by the owning shard, read by
+  // the promise between windows) and each group's suffix-min delivery.
+  std::vector<std::size_t> cursor(kChurnGroups, 0);
+  std::vector<std::vector<double>> promise_after(kChurnGroups);
+  for (std::size_t g = 0; g < kChurnGroups; ++g) {
+    auto& pa = promise_after[g];
+    pa.assign(plans[g].size() + 1, std::numeric_limits<double>::infinity());
+    for (std::size_t i = plans[g].size(); i-- > 0;) {
+      pa[i] = plans[g][i].dst >= 0 ? std::min(pa[i + 1], plans[g][i].delivery)
+                                   : pa[i + 1];
+    }
+  }
   const auto shard_of = [shards](std::size_t g) { return g % shards; };
   for (std::size_t g = 0; g < kChurnGroups; ++g) {
     const std::size_t s = shard_of(g);
     for (std::size_t i = 0; i < plans[g].size(); ++i) {
       const ChurnStep& st = plans[g][i];
       sharded.shard(s).schedule_at(st.at, [&sharded, &logs, &st, &shard_of,
-                                           s, g, i] {
+                                           &cursor, s, g, i] {
+        cursor[g] = i + 1;
         if (st.dst >= 0) {
           const std::size_t dg = static_cast<std::size_t>(st.dst);
           const int id = static_cast<int>(g * 10000 + i);
@@ -320,21 +329,32 @@ std::vector<std::vector<ChurnDelivery>> churn_run(
       });
     }
   }
+  if (promises) {
+    for (std::size_t s = 0; s < shards; ++s) {
+      sharded.set_promise(s, [&cursor, &promise_after, shards, s] {
+        double bound = std::numeric_limits<double>::infinity();
+        for (std::size_t g = s; g < kChurnGroups; g += shards) {
+          bound = std::min(bound, promise_after[g][cursor[g]]);
+        }
+        return bound;
+      });
+    }
+  }
   sharded.run();
   if (dispatched != nullptr) *dispatched = sharded.dispatched();
   if (skipped != nullptr) *skipped = sharded.windows_skipped();
   return logs;
 }
 
-TEST(ShardedSim, AdversarialChurnMatchesOneShardOracleAcrossSyncModes) {
+TEST(ShardedSim, AdversarialChurnMatchesOneShardOracleWithAndWithoutPromises) {
   std::size_t multi = 2;
   if (const char* env = std::getenv("LIFL_TEST_SHARDS")) {
     multi = std::max<std::size_t>(2, std::strtoul(env, nullptr, 10));
   }
   const auto plans = churn_plans();
   std::uint64_t oracle_events = 0;
-  const auto oracle = churn_run(plans, 1, lifl::sim::SyncMode::kConservative,
-                                0.0, &oracle_events, nullptr);
+  const auto oracle =
+      churn_run(plans, 1, /*promises=*/false, &oracle_events, nullptr);
   EXPECT_GE(oracle_events, 50'000u);
 
   const auto expect_match = [&oracle](
@@ -354,37 +374,18 @@ TEST(ShardedSim, AdversarialChurnMatchesOneShardOracleAcrossSyncModes) {
 
   for (const std::size_t shards : {std::size_t{2}, multi}) {
     std::uint64_t events = 0;
-    expect_match(churn_run(plans, shards, lifl::sim::SyncMode::kConservative,
-                           0.0, &events, nullptr),
-                 "conservative K=" + std::to_string(shards));
+    std::uint64_t skipped = 0;
+    expect_match(churn_run(plans, shards, /*promises=*/false, &events,
+                           &skipped),
+                 "no promises K=" + std::to_string(shards));
     EXPECT_EQ(events, oracle_events);
-    expect_match(churn_run(plans, shards, lifl::sim::SyncMode::kAdaptive, 0.0,
-                           &events, nullptr),
-                 "adaptive K=" + std::to_string(shards));
+    EXPECT_EQ(skipped, 0u);
+    expect_match(churn_run(plans, shards, /*promises=*/true, &events,
+                           &skipped),
+                 "promises K=" + std::to_string(shards));
     EXPECT_EQ(events, oracle_events);
-
-    // Optimistic: replay the whole model with the fence raised after each
-    // CausalityViolation — fences only grow, so the loop terminates.
-    double fence = 0.0;
-    int rollbacks = 0;
-    for (;; ++rollbacks) {
-      ASSERT_LT(rollbacks, 200) << "optimistic churn failed to converge";
-      try {
-        std::uint64_t skipped = 0;
-        expect_match(churn_run(plans, shards, lifl::sim::SyncMode::kOptimistic,
-                               fence, &events, &skipped),
-                     "optimistic K=" + std::to_string(shards));
-        EXPECT_EQ(events, oracle_events);
-        break;
-      } catch (const lifl::sim::CausalityViolation& v) {
-        EXPECT_GT(v.receiver_now, fence);  // progress, or the loop spins
-        fence = v.receiver_now;
-      }
-    }
-    if (shards == 2) {
-      // The boundary-hugging schedule really does trip speculation.
-      EXPECT_GT(rollbacks, 0) << "stress never exercised a rollback";
-    }
+    // The idle troughs really were widened across.
+    EXPECT_GT(skipped, 0u) << "K=" << shards;
   }
 }
 

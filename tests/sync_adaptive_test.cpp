@@ -1,18 +1,21 @@
-// Property tests for adaptive horizon widening: under randomized
-// cross-post schedules with honest outbound promises, the widened windows
-// must never admit a causality violation (every delivery lands exactly at
-// its posted time, in nondecreasing order per receiver), and the
-// empty-window skipping must be idempotent under pausing — slicing a run
-// with `run_to` marks reproduces the unsliced run bit for bit, skipped
-// windows included, which is the property campaign checkpoint/resume
-// rides on.
+// Property tests for promise-widened windows: under randomized cross-post
+// schedules with honest outbound promises, the widened windows must never
+// admit a causality violation (every delivery lands exactly at its posted
+// time, in nondecreasing order per receiver) and must reproduce both the
+// no-promise run and the 1-shard oracle; the empty-window skipping must be
+// idempotent under pausing — slicing a run with `run_to` marks reproduces
+// the unsliced run bit for bit, skipped windows included, which is the
+// property campaign checkpoint/resume rides on; and a promise that a real
+// cross-post contradicts must fail the run loudly.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdlib>
 #include <limits>
-#include <tuple>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "src/sim/random.hpp"
@@ -24,14 +27,14 @@ namespace {
 namespace sys = lifl::sys;
 using lifl::sim::Rng;
 using lifl::sim::ShardedSimulator;
-using lifl::sim::SyncMode;
 
 constexpr double kLookahead = 0.01;
 
 // ---------------------------------------------------------------------------
-// A randomized shard model with a precomputed post schedule, so each shard
-// can publish an *honest* promise: the minimum delivery time over every
-// cross-post it has not yet made (suffix minimum of its schedule).
+// A randomized model of logical groups (dealt round robin onto the shards)
+// with a precomputed post schedule, so each shard can publish an *honest*
+// promise: the minimum delivery time over every post its groups have not
+// yet made (suffix minimum of their schedules).
 
 struct Step {
   double at;        ///< shard-local event time
@@ -45,10 +48,10 @@ struct ShardPlan {
   std::size_t cursor = 0;             ///< next step not yet executed
 };
 
-std::vector<ShardPlan> make_plans(std::size_t shards, std::uint64_t seed) {
-  std::vector<ShardPlan> plans(shards);
+std::vector<ShardPlan> make_plans(std::size_t groups, std::uint64_t seed) {
+  std::vector<ShardPlan> plans(groups);
   Rng rng(seed);
-  for (std::size_t s = 0; s < shards; ++s) {
+  for (std::size_t s = 0; s < groups; ++s) {
     double t = rng.uniform(0.1, 0.5);
     for (int i = 0; i < 200; ++i) {
       double gap = rng.uniform(0.001, 0.05);
@@ -58,11 +61,11 @@ std::vector<ShardPlan> make_plans(std::size_t shards, std::uint64_t seed) {
       if (rng.uniform(0.0, 1.0) < 0.08) gap += rng.uniform(0.5, 2.0);
       t += gap;
       Step st{t, -1, 0.0};
-      if (shards > 1 && rng.uniform(0.0, 1.0) < 0.3) {
+      if (groups > 1 && rng.uniform(0.0, 1.0) < 0.3) {
         st.dst = static_cast<int>(
             (s + 1 + static_cast<std::size_t>(
-                         rng.uniform(0.0, static_cast<double>(shards - 1)))) %
-            shards);
+                         rng.uniform(0.0, static_cast<double>(groups - 1)))) %
+            groups);
         st.delivery = t + kLookahead + rng.uniform(0.0, 0.3);
       }
       plans[s].steps.push_back(st);
@@ -93,87 +96,105 @@ bool operator==(const Delivery& a, const Delivery& b) {
          a.dst == b.dst && a.id == b.id;
 }
 
-/// Per-receiver delivery logs: each shard's worker appends only to its
-/// own vector, so logging is race-free and the order within a vector is
-/// the receiver's deterministic execution order (a single global log
-/// would interleave receivers by thread timing).
+/// Per-receiver-group delivery logs: each group's owning shard appends
+/// only to its own vector, so logging is race-free and the order within a
+/// vector is the receiver's deterministic execution order (a single global
+/// log would interleave receivers by thread timing).
 using Logs = std::vector<std::vector<Delivery>>;
 
-/// Install the plans into a fresh simulator. `logs` must outlive the run.
+/// Install the plans into a fresh simulator, group g on shard
+/// g % shard_count(). With `with_promises`, each shard promises the
+/// minimum over its groups' remaining deliveries. `logs` must outlive the
+/// run.
 void arm(ShardedSimulator& sharded, std::vector<ShardPlan>& plans,
          Logs* logs, bool with_promises) {
-  for (std::size_t s = 0; s < plans.size(); ++s) {
-    plans[s].cursor = 0;
-    ShardPlan* plan = &plans[s];
+  const std::size_t k = sharded.shard_count();
+  for (std::size_t g = 0; g < plans.size(); ++g) {
+    plans[g].cursor = 0;
+    ShardPlan* plan = &plans[g];
     for (std::size_t i = 0; i < plan->steps.size(); ++i) {
-      sharded.shard(s).schedule_at(
-          plan->steps[i].at, [&sharded, plan, logs, s, i] {
+      sharded.shard(g % k).schedule_at(
+          plan->steps[i].at, [&sharded, plan, logs, k, g, i] {
             plan->cursor = i + 1;
             const Step& st = plan->steps[i];
             if (st.dst >= 0) {
-              const int id = static_cast<int>(s * 1000 + i);
-              sharded.post(
-                  s, static_cast<std::size_t>(st.dst), st.delivery,
-                  [&sharded, logs, st, id] {
-                    (*logs)[static_cast<std::size_t>(st.dst)].push_back(
-                        Delivery{sharded.shard(st.dst).now(), st.delivery,
+              const auto dst = static_cast<std::size_t>(st.dst);
+              const int id = static_cast<int>(g * 1000 + i);
+              sharded.post(g % k, dst % k, st.delivery,
+                           [&sharded, logs, st, dst, k, id] {
+                             (*logs)[dst].push_back(Delivery{
+                                 sharded.shard(dst % k).now(), st.delivery,
                                  st.dst, id});
-                  });
+                           });
             }
           });
     }
-    if (with_promises) {
-      sharded.set_promise(s, [plan] { return plan->promise_after[plan->cursor]; });
-    }
+  }
+  if (!with_promises) return;
+  for (std::size_t s = 0; s < k; ++s) {
+    sharded.set_promise(s, [&plans, k, s] {
+      double bound = std::numeric_limits<double>::infinity();
+      for (std::size_t g = s; g < plans.size(); g += k) {
+        bound = std::min(bound, plans[g].promise_after[plans[g].cursor]);
+      }
+      return bound;
+    });
   }
 }
 
-ShardedSimulator::Config adaptive_cfg(std::size_t shards, SyncMode sync) {
+ShardedSimulator::Config toy_cfg(std::size_t shards) {
   ShardedSimulator::Config cfg;
   cfg.shards = shards;
   cfg.lookahead = kLookahead;
-  cfg.sync = sync;
   return cfg;
 }
 
-TEST(SyncAdaptive, RandomSchedulesNeverAdmitACausalityViolation) {
-  // 20 random schedules x 3 shards. For each: the adaptive run must
-  // deliver every post exactly at its requested time (a late delivery
+/// One run of `plans` (copied, so cursors start fresh) on `shards` shards.
+Logs run_plans(std::vector<ShardPlan> plans, std::size_t shards,
+               bool with_promises, std::uint64_t* skipped) {
+  Logs logs(plans.size());
+  ShardedSimulator sharded(toy_cfg(shards));
+  arm(sharded, plans, &logs, with_promises);
+  sharded.run();
+  if (skipped != nullptr) *skipped = sharded.windows_skipped();
+  return logs;
+}
+
+TEST(SyncAdaptive, RandomSchedulesNeverDeliverIntoAReceiversPast) {
+  // 20 random schedules x 3 groups on 3 shards. For each: the promise run
+  // must deliver every post exactly at its requested time (a late delivery
   // would mean a widened window admitted a post into a receiver's past —
   // the sharded core would throw, but the exactness check also rules out
-  // silent clamping), in nondecreasing order per receiver, and produce
-  // the identical delivery sequence to the conservative oracle.
-  const std::size_t kShards = 3;
+  // silent clamping), in nondecreasing order per receiver, and produce the
+  // identical delivery sequence to the no-promise run and to the 1-shard
+  // oracle.
+  const std::size_t kGroups = 3;
   std::uint64_t skipped_total = 0;
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
-    auto plans = make_plans(kShards, seed);
-    Logs conservative_log(kShards);
-    {
-      ShardedSimulator sharded(
-          adaptive_cfg(kShards, SyncMode::kConservative));
-      auto p = plans;
-      arm(sharded, p, &conservative_log, /*with_promises=*/false);
-      sharded.run();
-      EXPECT_EQ(sharded.windows_skipped(), 0u);
-    }
-    Logs adaptive_log(kShards);
-    ShardedSimulator sharded(adaptive_cfg(kShards, SyncMode::kAdaptive));
-    arm(sharded, plans, &adaptive_log, /*with_promises=*/true);
-    sharded.run();
-    skipped_total += sharded.windows_skipped();
+    const auto plans = make_plans(kGroups, seed);
+    const Logs oracle = run_plans(plans, 1, false, nullptr);
+    std::uint64_t skipped = 0;
+    const Logs bare = run_plans(plans, kGroups, false, &skipped);
+    EXPECT_EQ(skipped, 0u) << "seed " << seed;
+    const Logs promised = run_plans(plans, kGroups, true, &skipped);
+    skipped_total += skipped;
 
-    for (std::size_t dst = 0; dst < kShards; ++dst) {
-      ASSERT_EQ(adaptive_log[dst].size(), conservative_log[dst].size())
+    for (std::size_t dst = 0; dst < kGroups; ++dst) {
+      ASSERT_EQ(promised[dst].size(), oracle[dst].size())
+          << "seed " << seed << " dst " << dst;
+      ASSERT_EQ(bare[dst].size(), oracle[dst].size())
           << "seed " << seed << " dst " << dst;
       double last = 0.0;
-      for (std::size_t i = 0; i < adaptive_log[dst].size(); ++i) {
-        const Delivery& d = adaptive_log[dst][i];
+      for (std::size_t i = 0; i < promised[dst].size(); ++i) {
+        const Delivery& d = promised[dst][i];
         EXPECT_EQ(d.receiver_now, d.posted)
             << "seed " << seed << " dst " << dst << " post " << i;
         EXPECT_GE(d.receiver_now, last)
             << "seed " << seed << " dst " << dst << " post " << i;
         last = d.receiver_now;
-        EXPECT_TRUE(d == conservative_log[dst][i])
+        EXPECT_TRUE(d == oracle[dst][i])
+            << "seed " << seed << " dst " << dst << " post " << i;
+        EXPECT_TRUE(bare[dst][i] == oracle[dst][i])
             << "seed " << seed << " dst " << dst << " post " << i;
       }
     }
@@ -195,7 +216,7 @@ TEST(SyncAdaptive, EmptyWindowSkippingIsIdempotentUnderPausing) {
     std::uint64_t unsliced_events = 0;
     std::uint64_t unsliced_skipped = 0;
     {
-      ShardedSimulator sharded(adaptive_cfg(kShards, SyncMode::kAdaptive));
+      ShardedSimulator sharded(toy_cfg(kShards));
       auto p = plans;
       arm(sharded, p, &unsliced_log, /*with_promises=*/true);
       sharded.run();
@@ -203,7 +224,7 @@ TEST(SyncAdaptive, EmptyWindowSkippingIsIdempotentUnderPausing) {
       unsliced_skipped = sharded.windows_skipped();
     }
     Logs sliced_log(kShards);
-    ShardedSimulator sharded(adaptive_cfg(kShards, SyncMode::kAdaptive));
+    ShardedSimulator sharded(toy_cfg(kShards));
     arm(sharded, plans, &sliced_log, /*with_promises=*/true);
     for (double mark = 0.5; sharded.pending_regular() > 0; mark += 0.5) {
       sharded.run_to(mark);
@@ -223,7 +244,7 @@ TEST(SyncAdaptive, EmptyWindowSkippingIsIdempotentUnderPausing) {
 }
 
 TEST(SyncAdaptive, CampaignResumeReproducesSkippingBitwise) {
-  // Campaign-level half: an adaptive multi-shard run with checkpoints
+  // Campaign-level half: a promise-widened multi-shard run with checkpoints
   // resumed from a mid-campaign blob reproduces the uninterrupted run —
   // results AND the window-skipping telemetry the promises drove.
   sys::ShardedCampaignConfig cfg;
@@ -240,7 +261,6 @@ TEST(SyncAdaptive, CampaignResumeReproducesSkippingBitwise) {
   cfg.hierarchy = sys::HierarchyMode::kPlanned;
   cfg.replan_interval_secs = 0.5;
   cfg.middle_fanin = 4;
-  cfg.sync_mode = lifl::sim::SyncMode::kAdaptive;
   cfg.checkpoint_every_secs = 0.5;
 
   std::vector<std::vector<std::uint8_t>> blobs;
@@ -273,6 +293,39 @@ TEST(SyncAdaptive, CampaignResumeReproducesSkippingBitwise) {
   EXPECT_EQ(resumed.events, reference.events);
   EXPECT_EQ(resumed.sim_secs, reference.sim_secs);
   EXPECT_EQ(resumed.checkpoint_marks, reference.checkpoint_marks);
+}
+
+TEST(SyncAdaptive, ContradictedPromiseThrowsLogicErrorFromThreadedRun) {
+  // The last shard promises "no cross post before t = 5" and then posts at
+  // 1.3 from a worker thread. `post` must catch the lie — a widened window
+  // trusting it could run the receiver past 1.3 — and the worker's
+  // exception must surface from the coordinator's `run()`.
+  std::vector<std::size_t> shard_counts = {2};
+  if (const char* env = std::getenv("LIFL_TEST_SHARDS")) {
+    const std::size_t k =
+        std::max<std::size_t>(2, std::strtoul(env, nullptr, 10));
+    if (k != 2) shard_counts.push_back(k);
+  }
+  for (const std::size_t k : shard_counts) {
+    ShardedSimulator sharded(toy_cfg(k));
+    const std::size_t liar = k - 1;
+    bool delivered = false;
+    sharded.shard(0).schedule_at(1.0, [] {});
+    sharded.shard(0).schedule_at(2.0, [] {});
+    sharded.shard(liar).schedule_at(1.2, [&sharded, &delivered, liar] {
+      sharded.post(liar, 0, 1.3, [&delivered] { delivered = true; });
+    });
+    sharded.set_promise(liar, [] { return 5.0; });
+    try {
+      sharded.run();
+      ADD_FAILURE() << "K=" << k << ": contradicted promise went unnoticed";
+    } catch (const std::logic_error& e) {
+      EXPECT_NE(std::string(e.what()).find("outbound promise"),
+                std::string::npos)
+          << "K=" << k << ": " << e.what();
+    }
+    EXPECT_FALSE(delivered) << "K=" << k;
+  }
 }
 
 }  // namespace

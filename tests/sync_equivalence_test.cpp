@@ -1,23 +1,21 @@
-// The speculation differential harness: adaptive and optimistic shard
-// synchronization must be invisible in the results. A seeded matrix of
-// campaigns (3 hierarchy modes x faults on/off x flaky clients on/off x
-// shards {1,2,4} x all three sync modes) is checked bitwise against the
-// 1-shard conservative oracle, and targeted unit tests drive
-// `sim::ShardedSimulator` straight into the rollback path: a straggling
-// post exactly at the horizon, two stragglers in one window, a rollback
-// spanning a checkpoint mark, and a rollback while a trace ring is
-// mid-overwrite.
+// The shard-sync differential harness: the promise-widened window protocol
+// must be invisible in the results. A seeded matrix of campaigns (3
+// hierarchy modes x faults on/off x flaky clients on/off) runs at shards
+// {2, 4, LIFL_TEST_SHARDS} and is checked bitwise against the 1-shard
+// oracle, whose own results are pinned by golden digests so a change that
+// moves every shard count together still fails.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <iterator>
 #include <string>
-#include <tuple>
-#include <utility>
 #include <vector>
 
-#include "src/sim/sharded_simulator.hpp"
 #include "src/systems/sharded_campaign.hpp"
 #include "src/workload/device_tier.hpp"
 
@@ -25,9 +23,6 @@ namespace {
 
 namespace sys = lifl::sys;
 namespace wl = lifl::wl;
-using lifl::sim::CausalityViolation;
-using lifl::sim::ShardedSimulator;
-using lifl::sim::SyncMode;
 
 std::size_t env_shards() {
   if (const char* env = std::getenv("LIFL_TEST_SHARDS")) {
@@ -63,8 +58,7 @@ const Scenario kScenarios[] = {
 };
 
 sys::ShardedCampaignConfig matrix_campaign(const Scenario& sc,
-                                           std::size_t shards,
-                                           SyncMode sync) {
+                                           std::size_t shards) {
   sys::ShardedCampaignConfig cfg;
   cfg.shards = shards;
   cfg.groups = 4;
@@ -105,15 +99,13 @@ sys::ShardedCampaignConfig matrix_campaign(const Scenario& sc,
     cfg.lifecycle.offline_base_secs = 0.05;
     cfg.lifecycle.offline_cap_secs = 1.0;
   }
-  cfg.sync_mode = sync;
-  cfg.spec_commit_every_secs = 5.0;
   return cfg;
 }
 
 /// The full bitwise claim: everything a result reports that is produced by
 /// simulated-event order must be *identical* — exact ==, not ULP — across
-/// shard counts and sync modes. Process-local wall/window telemetry is the
-/// only thing allowed to differ.
+/// shard counts. Process-local wall/window telemetry is the only thing
+/// allowed to differ.
 void expect_bitwise(const sys::ShardedCampaignResult& a,
                     const sys::ShardedCampaignResult& b,
                     const std::string& what) {
@@ -184,245 +176,129 @@ void expect_bitwise(const sys::ShardedCampaignResult& a,
   EXPECT_EQ(a.gate_wait_secs, b.gate_wait_secs) << what;
 }
 
-TEST(SyncEquivalence, MatrixBitwiseEqualToOneShardConservative) {
+/// FNV-1a over every field `expect_bitwise` compares, in its order, with
+/// doubles hashed as their raw bits and every vector prefixed by its size.
+class ResultDigest {
+ public:
+  void add(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h_ ^= (v >> (8 * i)) & 0xffu;
+      h_ *= 0x100000001b3ull;
+    }
+  }
+  void add(double d) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &d, sizeof bits);
+    add(bits);
+  }
+  std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 0xcbf29ce484222325ull;
+};
+
+std::uint64_t digest(const sys::ShardedCampaignResult& r) {
+  ResultDigest d;
+  d.add(std::uint64_t{r.round_started_at.size()});
+  for (std::size_t i = 0; i < r.round_started_at.size(); ++i) {
+    d.add(r.round_started_at[i]);
+    d.add(r.round_completed_at[i]);
+    d.add(r.round_samples[i]);
+    d.add(r.round_weight[i]);
+    d.add(r.round_spawned[i]);
+    d.add(r.round_reused[i]);
+    d.add(r.round_refolded[i]);
+  }
+  d.add(std::uint64_t{r.groups.size()});
+  for (const sys::ShardedGroupStats& g : r.groups) {
+    d.add(g.uploads);
+    d.add(g.pool_pushed);
+    d.add(g.gateway_busy_secs);
+    d.add(g.gateway_wait_secs);
+    d.add(g.cpu_cycles);
+  }
+  for (const std::uint64_t v :
+       {r.spawned_total, r.reused_total, r.replans, r.leaf_drains,
+        std::uint64_t{r.peak_leaves}, r.events}) {
+    d.add(v);
+  }
+  d.add(r.sim_secs);
+  for (const std::uint64_t v :
+       {r.checkpoint_marks, r.faults_injected, r.leaf_crashes,
+        r.middle_crashes, r.top_crashes, r.refolded_updates,
+        r.reinjected_partials, r.upload_retries, r.upload_drops,
+        r.upload_corruptions}) {
+    d.add(v);
+  }
+  d.add(r.recovery_secs);
+  for (const auto& t : r.tiers) {
+    d.add(t.selected);
+    d.add(t.completed);
+    d.add(t.disconnects);
+    d.add(t.stragglers);
+  }
+  for (const std::uint64_t v :
+       {r.disconnects, r.resumed_uploads, r.chunks_sent, r.chunks_resent,
+        r.selection_redraws, r.offline_queue_peak}) {
+    d.add(v);
+  }
+  d.add(r.gate_wait_secs);
+  return d.value();
+}
+
+/// Digests of the 1-shard matrix results, one per `kScenarios` entry,
+/// pinned so a refactor that shifts any simulated outcome — even one the
+/// shard-count comparison cannot see, because every shard count moved
+/// together — fails here.
+constexpr std::uint64_t kGoldenDigests[] = {
+    0x709f2473a6841822ull,  // fixed
+    0xedd24b7e1ac6f34dull,  // fixed+flaky
+    0x79eeabfd1b121f74ull,  // planned
+    0x46205ce300b8be8full,  // planned+faults
+    0xdf9af90d3bcc1475ull,  // planned+flaky
+    0x38a39902337e55aaull,  // planned+faults+flaky
+    0x14c51ae559ab5398ull,  // async
+    0x6d6a4e69bc05c892ull,  // async+faults
+    0xc8101c0470eff9ecull,  // async+flaky
+    0x14a55248418be554ull,  // async+faults+flaky
+};
+static_assert(std::size(kGoldenDigests) == std::size(kScenarios),
+              "one golden digest per scenario");
+
+TEST(SyncEquivalence, OneShardResultsMatchGoldenDigests) {
+  for (std::size_t i = 0; i < std::size(kScenarios); ++i) {
+    const Scenario& sc = kScenarios[i];
+    const std::uint64_t got =
+        digest(sys::run_sharded_campaign(matrix_campaign(sc, 1)));
+    char hex[32];
+    std::snprintf(hex, sizeof hex, "0x%016llxull",
+                  static_cast<unsigned long long>(got));
+    EXPECT_EQ(got, kGoldenDigests[i]) << sc.name << ": digest " << hex;
+  }
+}
+
+TEST(SyncEquivalence, MatrixBitwiseEqualToOneShardOracle) {
+  std::vector<std::size_t> shard_counts = {2, 4};
   const std::size_t env = env_shards();
-  std::vector<std::size_t> shard_counts = {1, 2, 4};
   if (std::find(shard_counts.begin(), shard_counts.end(), env) ==
       shard_counts.end()) {
     shard_counts.push_back(env);
   }
-  const SyncMode modes[] = {SyncMode::kConservative, SyncMode::kAdaptive,
-                            SyncMode::kOptimistic};
   std::uint64_t total_skipped = 0;
   for (const Scenario& sc : kScenarios) {
-    const auto oracle = sys::run_sharded_campaign(
-        matrix_campaign(sc, 1, SyncMode::kConservative));
-    EXPECT_EQ(oracle.windows, 0u) << sc.name;
+    const auto oracle = sys::run_sharded_campaign(matrix_campaign(sc, 1));
+    EXPECT_EQ(oracle.windows, 0u) << sc.name;  // no barriers at K = 1
+    EXPECT_EQ(oracle.windows_skipped, 0u) << sc.name;
     for (const std::size_t shards : shard_counts) {
-      for (const SyncMode sync : modes) {
-        if (shards == 1 && sync == SyncMode::kConservative) continue;
-        const std::string label =
-            std::string(sc.name) + " shards=" + std::to_string(shards) +
-            " sync=" +
-            (sync == SyncMode::kConservative ? "conservative"
-             : sync == SyncMode::kAdaptive   ? "adaptive"
-                                             : "optimistic");
-        const auto r =
-            sys::run_sharded_campaign(matrix_campaign(sc, shards, sync));
-        expect_bitwise(oracle, r, label);
-        if (shards == 1) {
-          // Sync modes are a no-op without barriers.
-          EXPECT_EQ(r.windows, 0u) << label;
-          EXPECT_EQ(r.windows_skipped, 0u) << label;
-          EXPECT_EQ(r.rollbacks, 0u) << label;
-        } else if (sync == SyncMode::kConservative) {
-          EXPECT_EQ(r.windows_skipped, 0u) << label;
-          EXPECT_EQ(r.rollbacks, 0u) << label;
-        } else {
-          if (sync == SyncMode::kAdaptive) {
-            EXPECT_EQ(r.rollbacks, 0u) << label;  // adaptive is sound
-          }
-          total_skipped += r.windows_skipped;
-        }
-      }
+      const std::string label =
+          std::string(sc.name) + " shards=" + std::to_string(shards);
+      const auto r = sys::run_sharded_campaign(matrix_campaign(sc, shards));
+      expect_bitwise(oracle, r, label);
+      total_skipped += r.windows_skipped;
     }
   }
-  // The widening actually engaged somewhere in the matrix.
+  // The promise widening actually engaged somewhere in the matrix.
   EXPECT_GT(total_skipped, 0u);
-}
-
-// ---------------------------------------------------------------------------
-// Targeted rollback units, driving the sharded core directly.
-
-ShardedSimulator::Config toy(std::size_t shards, double fence = 0.0) {
-  ShardedSimulator::Config cfg;
-  cfg.shards = shards;
-  cfg.lookahead = 0.5;
-  cfg.sync = SyncMode::kOptimistic;
-  cfg.spec_fence = fence;
-  return cfg;
-}
-
-// A post whose delivery time t satisfies t <= receiver-clock is a
-// violation even at exact equality: the receiver already executed its
-// event *at* t, so injecting another one there would reorder history.
-TEST(SyncRollback, LatePostExactlyAtTheHorizonRaisesViolation) {
-  // First quiet window speculates one lookahead past the sound horizon
-  // (t_min 1.0, conservative 1.5, speculative 2.0): shard 0 runs its
-  // event at 1.6 before the barrier surfaces shard 1's delivery at 1.6.
-  bool delivered = false;
-  {
-    ShardedSimulator sharded(toy(2));
-    sharded.shard(0).schedule_at(1.0, [] {});
-    sharded.shard(0).schedule_at(1.6, [] {});
-    sharded.shard(1).schedule_at(1.1, [&] {
-      sharded.post(1, 0, 1.6, [&] { delivered = true; });
-    });
-    try {
-      sharded.run();
-      FAIL() << "expected CausalityViolation";
-    } catch (const CausalityViolation& v) {
-      EXPECT_EQ(v.post_time, 1.6);
-      EXPECT_EQ(v.receiver_now, 1.6);
-      EXPECT_EQ(v.src, 1u);
-      EXPECT_EQ(v.dst, 0u);
-      // The speculative window must not have delivered the straggler.
-      EXPECT_FALSE(delivered);
-    }
-  }
-  // Replay with the fence raised to the violated clock: windows below the
-  // fence never speculate, so the same model now runs to completion and
-  // the straggler lands exactly at its posted time.
-  double delivered_at = -1.0;
-  ShardedSimulator replay(toy(2, /*fence=*/1.6));
-  replay.shard(0).schedule_at(1.0, [] {});
-  replay.shard(0).schedule_at(1.6, [] {});
-  replay.shard(1).schedule_at(1.1, [&] {
-    replay.post(1, 0, 1.6, [&] { delivered_at = replay.shard(0).now(); });
-  });
-  replay.run();
-  EXPECT_EQ(delivered_at, 1.6);
-}
-
-TEST(SyncRollback, TwoStragglersInOneWindowFenceIsMaxViolatedClock) {
-  // Shard 2 posts into the past of BOTH other shards in the same
-  // speculative window. The violation must report the first straggler in
-  // (t, src, seq) order but carry the maximum violated receiver clock —
-  // a fence that only cleared the first would just violate again on the
-  // second during replay.
-  ShardedSimulator sharded(toy(3));
-  sharded.shard(0).schedule_at(1.0, [] {});
-  sharded.shard(0).schedule_at(1.8, [] {});
-  sharded.shard(1).schedule_at(1.05, [] {});
-  sharded.shard(1).schedule_at(1.9, [] {});
-  sharded.shard(2).schedule_at(1.1, [&] {
-    sharded.post(2, 0, 1.6, [] {});
-    sharded.post(2, 1, 1.65, [] {});
-  });
-  try {
-    sharded.run();
-    FAIL() << "expected CausalityViolation";
-  } catch (const CausalityViolation& v) {
-    EXPECT_EQ(v.post_time, 1.6);  // first straggler in sort order...
-    EXPECT_EQ(v.src, 2u);
-    EXPECT_EQ(v.dst, 0u);
-    EXPECT_EQ(v.receiver_now, 1.9);  // ...but the max violated clock
-  }
-
-  // One replay with that fence clears both stragglers at once.
-  std::vector<std::pair<double, int>> landed;
-  ShardedSimulator replay(toy(3, /*fence=*/1.9));
-  replay.shard(0).schedule_at(1.0, [] {});
-  replay.shard(0).schedule_at(1.8, [] {});
-  replay.shard(1).schedule_at(1.05, [] {});
-  replay.shard(1).schedule_at(1.9, [] {});
-  replay.shard(2).schedule_at(1.1, [&] {
-    replay.post(2, 0, 1.6,
-                [&] { landed.emplace_back(replay.shard(0).now(), 0); });
-    replay.post(2, 1, 1.65,
-                [&] { landed.emplace_back(replay.shard(1).now(), 1); });
-  });
-  replay.run();
-  ASSERT_EQ(landed.size(), 2u);
-  EXPECT_EQ(landed[0], (std::pair<double, int>{1.6, 0}));
-  EXPECT_EQ(landed[1], (std::pair<double, int>{1.65, 1}));
-}
-
-// ---------------------------------------------------------------------------
-// Campaign-level rollbacks composed with checkpointing and tracing.
-
-/// A planned campaign tuned so optimistic multi-shard runs actually roll
-/// back: sparse cross traffic (one relay per group per round) and diurnal
-/// troughs let the speculation bonus ramp, then a relay lands in the top
-/// shard's past.
-sys::ShardedCampaignConfig rollback_campaign(std::size_t shards,
-                                             SyncMode sync) {
-  Scenario sc{"planned", sys::HierarchyMode::kPlanned, false, false};
-  auto cfg = matrix_campaign(sc, shards, sync);
-  cfg.rounds = 3;
-  return cfg;
-}
-
-TEST(SyncRollback, RollbackSpanningACheckpointMarkKeepsBlobsAndResume) {
-  struct Cut {
-    std::uint32_t round;
-    double mark;
-  };
-  const double every = 0.5;  // several marks inside each ~1.4 s round
-
-  auto with_ck = [&](std::size_t shards, SyncMode sync,
-                     std::vector<Cut>* cuts,
-                     std::vector<std::vector<std::uint8_t>>* blobs) {
-    auto cfg = rollback_campaign(shards, sync);
-    cfg.checkpoint_every_secs = every;
-    cfg.on_checkpoint = [cuts, blobs](const std::vector<std::uint8_t>& blob,
-                                      std::uint32_t round, double mark) {
-      if (cuts != nullptr) cuts->push_back(Cut{round, mark});
-      if (blobs != nullptr) blobs->push_back(blob);
-    };
-    return cfg;
-  };
-
-  // Oracle: conservative sync at the SAME shard count. Checkpoint blobs
-  // serialize one clock entry per shard, so their size — and with it the
-  // in-sim marshal billing on group 0's node — legitimately depends on K;
-  // cross-K equivalence without checkpoints is the matrix test's job.
-  std::vector<Cut> mono_cuts;
-  const auto mono = sys::run_sharded_campaign(
-      with_ck(env_shards(), SyncMode::kConservative, &mono_cuts, nullptr));
-
-  std::vector<Cut> opt_cuts;
-  std::vector<std::vector<std::uint8_t>> opt_blobs;
-  const auto opt = sys::run_sharded_campaign(
-      with_ck(env_shards(), SyncMode::kOptimistic, &opt_cuts, &opt_blobs));
-
-  expect_bitwise(mono, opt, "optimistic+checkpoints");
-  EXPECT_GT(opt.rollbacks, 0u);
-  EXPECT_GT(opt.checkpoint_marks, 0u);
-
-  // Rollbacks must not duplicate or drop checkpoint emissions: the blob
-  // stream is exactly the oracle's cut sequence, strictly increasing.
-  ASSERT_EQ(opt_cuts.size(), mono_cuts.size());
-  for (std::size_t i = 0; i < opt_cuts.size(); ++i) {
-    EXPECT_EQ(opt_cuts[i].round, mono_cuts[i].round) << "blob " << i;
-    EXPECT_EQ(opt_cuts[i].mark, mono_cuts[i].mark) << "blob " << i;
-    if (i > 0) {
-      EXPECT_TRUE(opt_cuts[i - 1].round < opt_cuts[i].round ||
-                  (opt_cuts[i - 1].round == opt_cuts[i].round &&
-                   opt_cuts[i - 1].mark < opt_cuts[i].mark))
-          << "duplicate or reordered emission at blob " << i;
-    }
-  }
-
-  // Resuming an optimistic run from a mid-campaign user blob replays the
-  // tail — rollbacks and all — to the same bitwise result.
-  ASSERT_GE(opt_blobs.size(), 2u);
-  const auto& middle = opt_blobs[opt_blobs.size() / 2];
-  auto rcfg = with_ck(env_shards(), SyncMode::kOptimistic, nullptr, nullptr);
-  rcfg.resume_blob = &middle;
-  const auto resumed = sys::run_sharded_campaign(rcfg);
-  expect_bitwise(mono, resumed, "optimistic resume from mid-campaign blob");
-}
-
-TEST(SyncRollback, RollbackWhileTraceRingIsMidOverwriteStaysPassive) {
-  // A deliberately tiny ring (1 KiB per shard) wraps long before the
-  // first rollback, so the rollback's squashed window had already
-  // overwritten live ring slots. Results must stay bitwise — the rings
-  // are wall-side observers, never inputs.
-  const auto mono =
-      sys::run_sharded_campaign(rollback_campaign(1, SyncMode::kConservative));
-
-  auto cfg = rollback_campaign(env_shards(), SyncMode::kOptimistic);
-  cfg.obs.trace = true;
-  cfg.obs.trace_ring_kb = 1;
-  const auto traced = sys::run_sharded_campaign(cfg);
-
-  expect_bitwise(mono, traced, "optimistic+tiny-trace-ring");
-  EXPECT_GT(traced.rollbacks, 0u);
-  ASSERT_NE(traced.obs, nullptr);
-  // The ring really was mid-overwrite: more events were recorded than a
-  // 1 KiB ring holds.
-  EXPECT_GT(traced.obs->trace().dropped_events(), 0u);
 }
 
 }  // namespace
