@@ -59,6 +59,12 @@ struct Group {
   /// promise (multi-shard runs); re-armed with the round, and
   /// never serialized — resume replay re-derives it from the boundary.
   std::uint64_t relays_done = 0;
+  /// Exact look-ahead over this round's arrival chain, for the outbound
+  /// promise: a cache the coordinator advances while evaluating promises
+  /// (multi-shard runs only). Model events never read it and it is never
+  /// serialized; `arm_arrivals` re-positions it on the round's first
+  /// arrival.
+  wl::ArrivalCursor lookahead;
 
   // Client-side fault telemetry, cumulative across rounds (group-local
   // event order only, so bitwise shard-invariant; checkpointed).

@@ -511,6 +511,7 @@ void arm_arrivals(CampaignState& st, Group& g, std::uint32_t round,
   g.target = target;
   g.relays_done = 0;
   g.next_rel = g.arrivals->next_after(0.0, g.rng);
+  g.lookahead = wl::ArrivalCursor(*g.arrivals, g.rng, g.next_rel, 1);
   g.sim->schedule_at(g.epoch + g.next_rel, ArrivalFn{&st, &g});
 }
 
@@ -745,13 +746,15 @@ void validate_config(const ShardedCampaignConfig& cfg) {
 /// deadline-shortfall shrink — or +inf when the group provably posts no
 /// more this round. 0 = no useful bound (the bounded-lag horizon rules).
 ///
-/// The argument: a relay output needs `needed` folded client updates, folds
-/// never exceed launched uploads (leases make refolds exactly-once), and
-/// arrivals launch one at a time — so while `launched < needed` the relay
-/// cannot fire before the next scheduled arrival at `epoch + next_rel`,
-/// and its post delivers a cross-group latency after that. Pure reads of
-/// group-local state, evaluated only while the shards are parked.
-double group_outbound_bound(const CampaignState& st, const Group& g) {
+/// The argument: a relay output needs `needed` folded client updates, and
+/// folds never exceed launched uploads (leases make refolds exactly-once),
+/// so the relay cannot fire before the `needed`-th arrival launches, and
+/// its post delivers a cross-group latency after that. The arrival chain
+/// is the only consumer of `g.rng` during a round, so that arrival's time
+/// is known exactly: the group's look-ahead cursor replays the chain on a
+/// cloned generator. Evaluated only while the shards are parked; the
+/// cursor is the one piece of state it writes, a cache no event reads.
+double group_outbound_bound(const CampaignState& st, Group& g) {
   const ShardedCampaignConfig& cfg = *st.cfg;
   const double inf = std::numeric_limits<double>::infinity();
   std::uint64_t needed = 0;
@@ -789,8 +792,9 @@ double group_outbound_bound(const CampaignState& st, const Group& g) {
     }
   }
   if (g.launched >= needed) return 0.0;
-  const double relay =
-      g.epoch + g.next_rel + cross_latency_secs(cfg.model_bytes);
+  // `needed` never shrinks within a round, so the cursor only moves on.
+  const double arrival = g.lookahead.advance_to(needed);
+  const double relay = g.epoch + arrival + cross_latency_secs(cfg.model_bytes);
   return std::min(relay, deadline);
 }
 
@@ -828,7 +832,7 @@ void install_promises(CampaignState& st, sim::ShardedSimulator& sharded) {
   for (std::size_t s = 0; s < sharded.shard_count(); ++s) {
     sharded.set_promise(s, [&st, s, top_shard, is_async]() {
       double bound = std::numeric_limits<double>::infinity();
-      for (const Group& g : st.groups) {
+      for (Group& g : st.groups) {
         if (g.shard != s || g.shard == top_shard) continue;
         bound = std::min(bound, group_outbound_bound(st, g));
         if (bound <= 0.0) return 0.0;

@@ -147,6 +147,40 @@ class ArrivalProcess {
   Config cfg_;
 };
 
+/// Exact look-ahead over one `ArrivalProcess` chain. A chain's arrival
+/// times depend only on its own generator, so replaying `next_after` on a
+/// clone of that generator yields the chain's future arrivals bit for bit
+/// without disturbing the chain. The cursor only walks forward and keeps
+/// one position, never a schedule: over a round it costs at most one draw
+/// per arrival, in O(1) memory.
+class ArrivalCursor {
+ public:
+  ArrivalCursor() = default;
+
+  /// Position on arrival number `index` (1-based) of a chain, due at
+  /// relative time `rel`; `rng` is the chain's generator right after that
+  /// arrival was drawn.
+  ArrivalCursor(const ArrivalProcess& process, const sim::Rng& rng, double rel,
+                std::uint64_t index)
+      : process_(&process), rng_(rng), rel_(rel), index_(index) {}
+
+  /// Arrival number of the current position.
+  std::uint64_t index() const noexcept { return index_; }
+
+  /// Relative time of arrival number `n`, moving the cursor there.
+  /// Requires `n >= index()`: the cursor never walks back.
+  double advance_to(std::uint64_t n) {
+    for (; index_ < n; ++index_) rel_ = process_->next_after(rel_, rng_);
+    return rel_;
+  }
+
+ private:
+  const ArrivalProcess* process_ = nullptr;
+  sim::Rng rng_{0};
+  double rel_ = 0.0;
+  std::uint64_t index_ = 0;
+};
+
 /// Bins events into fixed windows — the arrival-rate-per-minute series of
 /// Fig. 10(a)/(d).
 class ArrivalTracker {

@@ -3,7 +3,10 @@
 // hierarchy modes x faults on/off x flaky clients on/off) runs at shards
 // {2, 4, LIFL_TEST_SHARDS} and is checked bitwise against the 1-shard
 // oracle, whose own results are pinned by golden digests so a change that
-// moves every shard count together still fails.
+// moves every shard count together still fails. A window-budget check
+// guards the barrier's cost: with exact look-ahead promises a 4-shard run
+// stays near the count the lookahead cap allows, never one window per few
+// arrivals.
 
 #include <gtest/gtest.h>
 
@@ -16,11 +19,14 @@
 #include <string>
 #include <vector>
 
+#include "src/sim/calibration.hpp"
+#include "src/sim/sharded_simulator.hpp"
 #include "src/systems/sharded_campaign.hpp"
 #include "src/workload/device_tier.hpp"
 
 namespace {
 
+namespace sim = lifl::sim;
 namespace sys = lifl::sys;
 namespace wl = lifl::wl;
 
@@ -299,6 +305,76 @@ TEST(SyncEquivalence, MatrixBitwiseEqualToOneShardOracle) {
   }
   // The promise widening actually engaged somewhere in the matrix.
   EXPECT_GT(total_skipped, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Window budget: exact look-ahead promises keep the barrier cap-bound.
+
+/// Long, busy rounds (~15 sim s, 500 arrivals per group) at one leaf per
+/// group, so every mode's relay threshold is the group target: the exact
+/// promise then holds each group shard's horizon at its target-th arrival,
+/// and the windows are bounded by the 257-lookahead cap. A barrier that
+/// falls back to one window per few arrivals (2,000 uploads per round)
+/// overshoots the budget many times over.
+sys::ShardedCampaignConfig budget_campaign(sys::HierarchyMode mode,
+                                           std::size_t shards) {
+  sys::ShardedCampaignConfig cfg;
+  cfg.shards = shards;
+  cfg.groups = 4;
+  cfg.rounds = 2;
+  cfg.leaves_per_group = 1;
+  cfg.updates_per_leaf = 500;
+  cfg.model_bytes = 50'000;
+  cfg.population = 20'000;
+  cfg.peak_per_sec = 150.0;
+  cfg.ramp_secs = 1.0;
+  cfg.diurnal_amplitude = 0.4;
+  cfg.diurnal_period_secs = 5.0;
+  cfg.seed = 13;
+  cfg.hierarchy = mode;
+  if (mode != sys::HierarchyMode::kFixed) {
+    cfg.replan_interval_secs = 0.5;
+    cfg.middle_fanin = 4;
+  }
+  return cfg;
+}
+
+TEST(SyncEquivalence, LookaheadPromisesKeepWindowsNearTheCap) {
+  struct Mode {
+    const char* name;
+    sys::HierarchyMode hierarchy;
+  };
+  const Mode modes[] = {
+      {"planned", sys::HierarchyMode::kPlanned},
+      {"fixed", sys::HierarchyMode::kFixed},
+      {"async", sys::HierarchyMode::kAsync},
+  };
+  for (const Mode& m : modes) {
+    const auto oracle =
+        sys::run_sharded_campaign(budget_campaign(m.hierarchy, 1));
+    const auto r = sys::run_sharded_campaign(budget_campaign(m.hierarchy, 4));
+    expect_bitwise(oracle, r, m.name);
+
+    if (m.hierarchy == sys::HierarchyMode::kAsync) {
+      // The top's version-broadcast promise is still next-arrival based,
+      // so async windows track the fleet's arrivals until each version's
+      // quota has launched; exact group promises keep them below one per
+      // upload (per-arrival group promises land well above it).
+      std::uint64_t uploads = 0;
+      for (const sys::ShardedGroupStats& g : r.groups) uploads += g.uploads;
+      EXPECT_LT(r.windows, uploads) << m.name;
+      continue;
+    }
+    // Cap-bound count: a window spans at most kMaxLookaheads + 1
+    // lookaheads, plus about one promise-ended window per group relay.
+    const double lookahead = sim::calib::kCrossShardLatencySecs;
+    const double cap_bound =
+        r.sim_secs / ((sim::ShardedSimulator::kMaxLookaheads + 1) * lookahead);
+    const double group_rounds =
+        static_cast<double>(r.round_started_at.size() * r.groups.size());
+    EXPECT_LE(static_cast<double>(r.windows), 1.2 * cap_bound + group_rounds)
+        << m.name << ": cap-bound " << cap_bound;
+  }
 }
 
 }  // namespace
