@@ -1,6 +1,5 @@
 #include "src/dataplane/cost.hpp"
 
-#include <memory>
 #include <utility>
 
 namespace lifl::dp {
@@ -17,50 +16,67 @@ CostStep cpu_step(StepResource where, const sim::Node& node, double cycles,
   return s;
 }
 
-void StepRunner::run(std::vector<CostStep> steps, sim::Task done) {
-  auto flight = std::make_shared<Flight>();
-  flight->steps = std::move(steps);
-  flight->done = std::move(done);
-  dispatch(flight);
+void StepRunner::run(const StepList& steps, sim::Task done) {
+  dispatch(flights_.park(Flight{steps, 0, {}, {}, std::move(done)}));
 }
 
-void StepRunner::advance(const std::shared_ptr<Flight>& f) {
+void StepRunner::run(const StepList& steps, fl::ModelUpdate update,
+                     UpdateFn then, sim::Task done) {
+  dispatch(flights_.park(Flight{steps, 0, std::move(update), std::move(then),
+                                std::move(done)}));
+}
+
+void StepRunner::advance(std::uint32_t slot) {
   // The step that just finished service bills its cycles to the node it
   // ran on, then the pipeline moves to the next hop.
-  const CostStep& s = f->steps[f->i];
+  Flight& f = flights_[slot];
+  const CostStep& s = f.steps[f.i];
   if (s.cycles > 0) cluster_.node(s.node).cpu().add(s.tag, s.cycles);
-  ++f->i;
-  dispatch(f);
+  ++f.i;
+  dispatch(slot);
 }
 
-void StepRunner::dispatch(const std::shared_ptr<Flight>& f) {
-  if (f->i >= f->steps.size()) {
-    if (f->done) f->done();
+void StepRunner::dispatch(std::uint32_t slot) {
+  Flight& f = flights_[slot];
+  if (f.i >= f.steps.size()) {
+    finish(slot);
     return;
   }
-  const CostStep& s = f->steps[f->i];
+  const CostStep& s = f.steps[f.i];
   sim::Node& node = cluster_.node(s.node);
-  NextFn next{this, f};
+  const NextFn next{this, slot};
   switch (s.where) {
     case StepResource::kCores:
-      node.cores().acquire(s.seconds, std::move(next));
+      node.cores().acquire(s.seconds, next);
       break;
     case StepResource::kKernelNet:
-      node.kernel_net().acquire(s.seconds, std::move(next));
+      node.kernel_net().acquire(s.seconds, next);
       break;
     case StepResource::kNic:
-      node.nic().acquire(s.seconds, std::move(next));
+      node.nic().acquire(s.seconds, next);
       break;
     case StepResource::kGateway:
-      gateways_(s.node, s.flow).acquire(s.seconds, std::move(next));
+      gateways_(s.node, s.flow).acquire(s.seconds, next);
       break;
     case StepResource::kBroker:
-      broker_().acquire(s.seconds, std::move(next));
+      broker_().acquire(s.seconds, next);
       break;
     case StepResource::kLatency:
-      cluster_.sim().schedule_after(s.seconds, std::move(next));
+      cluster_.sim().schedule_after(s.seconds, next);
       break;
   }
+}
+
+void StepRunner::finish(std::uint32_t slot) {
+  // Move the continuations (and payload) out and recycle the slot before
+  // running them: they may start new flights, which can grow the slab.
+  Flight& f = flights_[slot];
+  UpdateFn then = std::move(f.then);
+  sim::Task done = std::move(f.done);
+  fl::ModelUpdate update = std::move(f.update);
+  flights_.release(slot);
+  if (then) then(std::move(update));
+  if (done) done();
 }
 
 }  // namespace lifl::dp

@@ -85,21 +85,14 @@ void DataPlane::attach_shm_lease(sim::NodeId node, fl::ModelUpdate& update) {
   }
   // RAII recycle: when the last copy of the update drops, the reference is
   // released and the buffer returns to the store's pool. The lease may
-  // legally outlive the store (closures parked in simulator queues during
-  // teardown), so it releases through the store's liveness token.
-  update.lease = std::shared_ptr<const void>(
-      new shm::ObjectKey(key),
-      [token = store.liveness()](const shm::ObjectKey* k) {
-        if (const auto store_ptr = token.lock()) {
-          (*store_ptr)->release(*k);
-        }
-        delete k;
-      });
+  // legally outlive the store (flights and hand-offs parked in simulator
+  // queues during teardown), so it releases through the store's liveness
+  // token.
+  update.lease = store.lease(key);
 }
 
-void DataPlane::append_broker_leg(std::vector<CostStep>& steps, sim::Node& src,
-                                  sim::Node& dst, std::size_t bytes,
-                                  double extra_broker_cycles_per_byte) {
+void DataPlane::append_broker_leg(StepList& steps, sim::Node& src,
+                                  sim::Node& dst, std::size_t bytes) {
   const auto b = static_cast<double>(bytes);
   sim::Node& broker = cluster_.node(cfg_.broker_node);
   if (src.id() != broker.id()) {
@@ -114,10 +107,8 @@ void DataPlane::append_broker_leg(std::vector<CostStep>& steps, sim::Node& src,
                            CostTag::kKernelNet));
   // Enqueue + dequeue processing on the broker's (fixed) worker threads:
   // every brokered message in the cluster serializes through here.
-  steps.push_back(cpu_step(
-      StepResource::kBroker, broker,
-      (calib::kBrokerCyclesPerByte + extra_broker_cycles_per_byte) * b,
-      CostTag::kBroker));
+  steps.push_back(cpu_step(StepResource::kBroker, broker,
+                           calib::kBrokerCyclesPerByte * b, CostTag::kBroker));
   steps.push_back(cpu_step(
       StepResource::kKernelNet, broker,
       calib::kKernelTxCyclesPerByte * b + calib::kKernelFixedCycles,
@@ -134,10 +125,9 @@ void DataPlane::append_broker_leg(std::vector<CostStep>& steps, sim::Node& src,
                            CostTag::kKernelNet));
 }
 
-std::vector<CostStep> DataPlane::intra_node_steps(sim::Node& node,
-                                                  std::size_t bytes) {
+void DataPlane::intra_node_steps(StepList& steps, sim::Node& node,
+                                 std::size_t bytes) {
   const auto b = static_cast<double>(bytes);
-  std::vector<CostStep> steps;
   switch (cfg_.plane) {
     case PlaneKind::kLifl:
       // Producer writes the update into the shm object store; the 16-byte
@@ -180,15 +170,12 @@ std::vector<CostStep> DataPlane::intra_node_steps(sim::Node& node,
       }
       break;
   }
-  return steps;
 }
 
-std::vector<CostStep> DataPlane::inter_node_steps(sim::Node& src,
-                                                  sim::Node& dst,
-                                                  std::size_t bytes,
-                                                  std::uint64_t flow) {
+void DataPlane::inter_node_steps(StepList& steps, sim::Node& src,
+                                 sim::Node& dst, std::size_t bytes,
+                                 std::uint64_t flow) {
   const auto b = static_cast<double>(bytes);
-  std::vector<CostStep> steps;
   const bool lifl = cfg_.plane == PlaneKind::kLifl;
 
   if (lifl) {
@@ -250,14 +237,11 @@ std::vector<CostStep> DataPlane::inter_node_steps(sim::Node& src,
                              calib::kContainerSidecarCyclesPerByte * b,
                              CostTag::kSidecarContainer));
   }
-  return steps;
 }
 
-std::vector<CostStep> DataPlane::ingest_steps(sim::Node& node,
-                                              std::size_t bytes,
-                                              std::uint64_t flow) {
+void DataPlane::ingest_steps(StepList& steps, sim::Node& node,
+                             std::size_t bytes, std::uint64_t flow) {
   const auto b = static_cast<double>(bytes);
-  std::vector<CostStep> steps;
   switch (cfg_.plane) {
     case PlaneKind::kLifl:
       // Kernel receive path for the client's TCP stream, then one-time
@@ -306,7 +290,19 @@ std::vector<CostStep> DataPlane::ingest_steps(sim::Node& node,
       }
       break;
   }
-  return steps;
+}
+
+void DataPlane::upload_steps(StepList& steps, sim::Node& node,
+                             std::size_t bytes, std::uint64_t flow,
+                             double uplink_bytes_per_sec) {
+  // Wire time from the client to the cluster ingress (pure latency: the
+  // client's uplink is not a cluster resource).
+  CostStep wire;
+  wire.where = StepResource::kLatency;
+  wire.node = node.id();
+  wire.seconds = static_cast<double>(bytes) / uplink_bytes_per_sec;
+  steps.push_back(wire);
+  ingest_steps(steps, node, bytes, flow);
 }
 
 void DataPlane::send(fl::ParticipantId src, sim::NodeId src_node,
@@ -333,13 +329,13 @@ void DataPlane::send(fl::ParticipantId src, sim::NodeId src_node,
     senv.metrics.add(MetricsMap::kSendBytes, static_cast<double>(bytes));
   }
 
-  std::vector<CostStep> steps;
+  StepList steps;
   if (src_node == dst_node) {
     if (cfg_.plane == PlaneKind::kLifl) {
       attach_shm_lease(src_node, update);
       ++shm_deliveries_;
     }
-    steps = intra_node_steps(snode, bytes);
+    intra_node_steps(steps, snode, bytes);
   } else {
     inter_node_bytes_ += bytes;
     if (cfg_.plane == PlaneKind::kLifl) {
@@ -349,100 +345,82 @@ void DataPlane::send(fl::ParticipantId src, sim::NodeId src_node,
     }
     // Gateway hops steer by the destination participant: one aggregator's
     // inbound transfers stay ordered on one queue.
-    steps = inter_node_steps(snode, dnode, bytes, dst);
+    inter_node_steps(steps, snode, dnode, bytes, dst);
   }
   if (cfg_.use_broker) {
     env(cfg_.broker_node).broker.buffer(bytes);
   }
+  runner_.run(steps, std::move(update), SendDelivered{this, dst_node, dst},
+              std::move(on_delivered));
+}
 
-  runner_.run(std::move(steps),
-              [this, dst_node, dst, u = std::move(update), bytes,
-               done = std::move(on_delivered)]() mutable {
-                if (cfg_.use_broker) {
-                  env(cfg_.broker_node).broker.unbuffer(bytes);
-                }
-                deliver(dst_node, dst, std::move(u), std::move(done));
-              });
+void DataPlane::SendDelivered::operator()(fl::ModelUpdate u) const {
+  if (dp->cfg_.use_broker) {
+    dp->env(dp->cfg_.broker_node).broker.unbuffer(u.logical_bytes);
+  }
+  dp->deliver(dst_node, dst, std::move(u));
 }
 
 void DataPlane::deliver(sim::NodeId dst_node, fl::ParticipantId dst,
-                        fl::ModelUpdate update, sim::Task done) {
+                        fl::ModelUpdate update) {
   Sockmap::DeliverFn* sock = env(dst_node).sockmap.lookup(dst);
   if (sock == nullptr) {
     // Destination disappeared mid-flight (scale-down / failure): the update
     // falls back into the node pool so a successor can aggregate it.
     env(dst_node).pool.push(std::move(update));
-    if (done) done();
     return;
   }
   (*sock)(std::move(update));
-  if (done) done();
 }
 
 void DataPlane::client_upload(sim::NodeId dst_node, fl::ModelUpdate update,
                               double uplink_bytes_per_sec,
                               sim::Task on_enqueued) {
   const std::size_t bytes = update.logical_bytes;
-  sim::Node& dnode = cluster_.node(dst_node);
   // Gateways and brokers terminate the client stream; on a bare serverful
   // plane the consuming aggregator pays that cost in its Recv step.
   update.from_client =
       cfg_.plane != PlaneKind::kLifl && !cfg_.use_broker;
 
-  std::vector<CostStep> steps;
-  // Wire time from the client to the cluster ingress (pure latency: the
-  // client's uplink is not a cluster resource).
-  CostStep wire;
-  wire.where = StepResource::kLatency;
-  wire.node = dst_node;
-  wire.seconds = static_cast<double>(bytes) / uplink_bytes_per_sec;
-  steps.push_back(wire);
-  auto ingest = ingest_steps(dnode, bytes, update.producer);
-  steps.insert(steps.end(), ingest.begin(), ingest.end());
+  StepList steps;
+  upload_steps(steps, cluster_.node(dst_node), bytes, update.producer,
+               uplink_bytes_per_sec);
 
   // A brokered upload rests in the broker's buffers until a consumer drains
   // it (`consume` unbuffers); LIFL/serverful planes buffer nothing here.
   if (cfg_.use_broker) env(cfg_.broker_node).broker.buffer(bytes);
 
-  runner_.run(std::move(steps), [this, dst_node,
-                                 u = std::move(update),
-                                 done = std::move(on_enqueued)]() mutable {
-    NodeEnv& e = env(dst_node);
-    if (cfg_.plane == PlaneKind::kLifl) {
-      attach_shm_lease(dst_node, u);
-      ++shm_deliveries_;
-    }
-    // Arrival-rate metric for the control plane (k_{i,t} of §5.1).
-    e.metrics.add(MetricsMap::kArrivals);
-    e.pool.push(std::move(u));
-    if (done) done();
-  });
+  runner_.run(steps, std::move(update), UploadIngested{this, dst_node},
+              std::move(on_enqueued));
+}
+
+void DataPlane::UploadIngested::operator()(fl::ModelUpdate u) const {
+  NodeEnv& e = dp->env(dst_node);
+  if (dp->cfg_.plane == PlaneKind::kLifl) {
+    dp->attach_shm_lease(dst_node, u);
+    ++dp->shm_deliveries_;
+  }
+  // Arrival-rate metric for the control plane (k_{i,t} of §5.1).
+  e.metrics.add(MetricsMap::kArrivals);
+  e.pool.push(std::move(u));
 }
 
 void DataPlane::client_upload_chunk(sim::NodeId dst_node, std::uint64_t flow,
                                     std::size_t bytes,
                                     double uplink_bytes_per_sec,
                                     sim::Task on_acked) {
-  sim::Node& dnode = cluster_.node(dst_node);
-  std::vector<CostStep> steps;
-  // Wire time from the client to the cluster ingress (pure latency, as in
-  // `client_upload`).
-  CostStep wire;
-  wire.where = StepResource::kLatency;
-  wire.node = dst_node;
-  wire.seconds = static_cast<double>(bytes) / uplink_bytes_per_sec;
-  steps.push_back(wire);
-  auto ingest = ingest_steps(dnode, bytes, flow);
-  steps.insert(steps.end(), ingest.begin(), ingest.end());
-  runner_.run(std::move(steps), std::move(on_acked));
+  StepList steps;
+  upload_steps(steps, cluster_.node(dst_node), bytes, flow,
+               uplink_bytes_per_sec);
+  runner_.run(steps, std::move(on_acked));
 }
 
-void DataPlane::consume(sim::NodeId node, const fl::ModelUpdate& update,
-                        sim::Task ready) {
+void DataPlane::consume(sim::NodeId node, fl::ModelUpdate update,
+                        StepRunner::UpdateFn ready) {
   if (!cfg_.use_broker) {
     // LIFL: the consumer receives the 16-byte key; the payload stays put in
     // shm. SF monolith: the queue is the aggregator's own in-memory queue.
-    ready();
+    ready(std::move(update));
     return;
   }
   const std::size_t bytes = update.logical_bytes;
@@ -451,7 +429,7 @@ void DataPlane::consume(sim::NodeId node, const fl::ModelUpdate& update,
   sim::Node& dst = cluster_.node(node);
   env(cfg_.broker_node).broker.unbuffer(bytes);
 
-  std::vector<CostStep> steps;
+  StepList steps;
   // Dequeue processing on the broker's worker threads.
   steps.push_back(cpu_step(StepResource::kBroker, broker,
                            calib::kBrokerCyclesPerByte * b, CostTag::kBroker));
@@ -474,7 +452,7 @@ void DataPlane::consume(sim::NodeId node, const fl::ModelUpdate& update,
                              calib::kContainerSidecarCyclesPerByte * b,
                              CostTag::kSidecarContainer));
   }
-  runner_.run(std::move(steps), std::move(ready));
+  runner_.run(steps, std::move(update), std::move(ready));
 }
 
 void DataPlane::seed_update(sim::NodeId node, fl::ModelUpdate update) {

@@ -121,16 +121,18 @@ class DataPlane {
   double recv_cycles(const fl::ModelUpdate& update) const noexcept;
 
   /// A consumer on `node` takes one queued update out of the node's pending
-  /// pool; `ready` fires when the payload is at the consumer. On the LIFL
-  /// plane this is free — the update already sits in shared memory and the
-  /// consumer holds its key (§4.2 in-place queuing). On a bare serverful
-  /// plane the queue is in the aggregator's own memory (Fig. 5 monolith) —
-  /// also free. On brokered planes the queue lives in the broker, so every
-  /// consumption is a real broker delivery: dequeue processing on the broker
-  /// service plus kernel/wire hops to the consumer — the "inefficient
-  /// message queuing" overhead of §2.3.
-  void consume(sim::NodeId node, const fl::ModelUpdate& update,
-               sim::Task ready);
+  /// pool; `ready` receives the update when the payload is at the consumer.
+  /// On the LIFL plane this is free — the update already sits in shared
+  /// memory and the consumer holds its key (§4.2 in-place queuing), so
+  /// `ready` runs synchronously. On a bare serverful plane the queue is in
+  /// the aggregator's own memory (Fig. 5 monolith) — also free. On brokered
+  /// planes the queue lives in the broker, so every consumption is a real
+  /// broker delivery: dequeue processing on the broker service plus
+  /// kernel/wire hops to the consumer — the "inefficient message queuing"
+  /// overhead of §2.3. The update rides the delivery's flight, so handing
+  /// it over allocates nothing.
+  void consume(sim::NodeId node, fl::ModelUpdate update,
+               StepRunner::UpdateFn ready);
 
   /// Record an aggregation-task execution time observed by the sidecar
   /// attached to an aggregator on `node` (§4.3): event-driven metric write.
@@ -167,22 +169,37 @@ class DataPlane {
 
  private:
   void deliver(sim::NodeId dst_node, fl::ParticipantId dst,
-               fl::ModelUpdate update, sim::Task done);
+               fl::ModelUpdate update);
   /// Put the update payload into `node`'s store and attach a release lease.
   void attach_shm_lease(sim::NodeId node, fl::ModelUpdate& update);
 
-  std::vector<CostStep> intra_node_steps(sim::Node& node, std::size_t bytes);
-  std::vector<CostStep> inter_node_steps(sim::Node& src, sim::Node& dst,
-                                         std::size_t bytes,
-                                         std::uint64_t flow);
-  std::vector<CostStep> ingest_steps(sim::Node& node, std::size_t bytes,
-                                     std::uint64_t flow);
+  // Step builders: append one pipeline's steps to `steps`.
+  void intra_node_steps(StepList& steps, sim::Node& node, std::size_t bytes);
+  void inter_node_steps(StepList& steps, sim::Node& src, sim::Node& dst,
+                        std::size_t bytes, std::uint64_t flow);
+  void ingest_steps(StepList& steps, sim::Node& node, std::size_t bytes,
+                    std::uint64_t flow);
+  /// Client wire latency into `node` followed by the ingest pipeline.
+  void upload_steps(StepList& steps, sim::Node& node, std::size_t bytes,
+                    std::uint64_t flow, double uplink_bytes_per_sec);
   /// Appends the broker leg of a brokered path: hop to the broker node if
   /// needed, broker processing on the broker service threads, then the hop
   /// from the broker to `dst` (Fig. 2(b) indirection).
-  void append_broker_leg(std::vector<CostStep>& steps, sim::Node& src,
-                         sim::Node& dst, std::size_t bytes,
-                         double extra_broker_cycles_per_byte = 0.0);
+  void append_broker_leg(StepList& steps, sim::Node& src, sim::Node& dst,
+                         std::size_t bytes);
+
+  /// Flight continuations (Task-inline captures).
+  struct SendDelivered {
+    DataPlane* dp;
+    sim::NodeId dst_node;
+    fl::ParticipantId dst;
+    void operator()(fl::ModelUpdate u) const;
+  };
+  struct UploadIngested {
+    DataPlane* dp;
+    sim::NodeId dst_node;
+    void operator()(fl::ModelUpdate u) const;
+  };
 
   sim::Cluster& cluster_;
   DataPlaneConfig cfg_;

@@ -27,6 +27,13 @@ struct Session : std::enable_shared_from_this<Session> {
   std::uint32_t drops = 0;       ///< disconnects survived
   double t0 = 0.0;
 
+  // The chunk in flight (a session sends one chunk at a time). It is kept
+  // here rather than in the ack continuation, which then captures only
+  // `self` and stays `sim::Task`-inline.
+  std::uint64_t sent_this_attempt = 0;  ///< chunks acked in this attempt
+  std::uint32_t die_at = 0;             ///< disconnecting chunk (0: none)
+  bool chunk_resend = false;            ///< re-sends a partial chunk
+
   Session(DataPlane& p, fl::ModelUpdate u, ResumableUpload::Config c)
       : plane(p), update(std::move(u)), cfg(std::move(c)) {}
 
@@ -54,14 +61,15 @@ struct Session : std::enable_shared_from_this<Session> {
   /// attempt's disconnect point over the remaining chunks, then send.
   void start_attempt() {
     const std::uint64_t left = total_chunks - acked;
-    const std::uint32_t die_at = cfg.plan->disconnect_chunk(
-        cfg.group, cfg.seq, attempt, left, cfg.rate_scale);
-    send_chunk(/*sent_this_attempt=*/0, die_at);
+    die_at = cfg.plan->disconnect_chunk(cfg.group, cfg.seq, attempt, left,
+                                        cfg.rate_scale);
+    sent_this_attempt = 0;
+    send_chunk();
   }
 
   /// Send the next chunk. `die_at` (1-based within this attempt) marks the
   /// chunk that disconnects mid-transmission; 0 = the attempt completes.
-  void send_chunk(std::uint64_t sent_this_attempt, std::uint32_t die_at) {
+  void send_chunk() {
     const std::uint64_t bytes = chunk_size(acked);
     auto self = shared_from_this();
     if (die_at != 0 && sent_this_attempt + 1 == die_at) {
@@ -75,24 +83,27 @@ struct Session : std::enable_shared_from_this<Session> {
       sim().schedule_after(partial_secs, [self]() { self->disconnect(); });
       return;
     }
-    const bool resend = resend_pending;
+    chunk_resend = resend_pending;
     resend_pending = false;
-    plane.client_upload_chunk(
-        cfg.node, update.producer, static_cast<std::size_t>(bytes),
-        cfg.uplink_bytes_per_sec,
-        [self, sent_this_attempt, die_at, resend]() {
-          if (self->cfg.counters != nullptr) {
-            ++self->cfg.counters->chunks_sent;
-            if (resend) ++self->cfg.counters->chunks_resent;
-          }
-          ++self->acked;
-          if (self->acked == self->total_chunks) {
-            self->finish();
-            return;
-          }
-          self->step(ClientEvent::kChunkAcked);
-          self->send_chunk(sent_this_attempt + 1, die_at);
-        });
+    plane.client_upload_chunk(cfg.node, update.producer,
+                              static_cast<std::size_t>(bytes),
+                              cfg.uplink_bytes_per_sec,
+                              [self]() { self->on_chunk_acked(); });
+  }
+
+  void on_chunk_acked() {
+    if (cfg.counters != nullptr) {
+      ++cfg.counters->chunks_sent;
+      if (chunk_resend) ++cfg.counters->chunks_resent;
+    }
+    ++acked;
+    if (acked == total_chunks) {
+      finish();
+      return;
+    }
+    step(ClientEvent::kChunkAcked);
+    ++sent_this_attempt;
+    send_chunk();
   }
 
   void disconnect() {

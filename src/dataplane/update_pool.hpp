@@ -1,6 +1,6 @@
 #pragma once
 
-#include <deque>
+#include <cstdint>
 #include <map>
 #include <stdexcept>
 #include <utility>
@@ -8,7 +8,9 @@
 
 #include "src/fl/model_update.hpp"
 #include "src/obs/registry.hpp"
+#include "src/sim/fifo.hpp"
 #include "src/sim/simulator.hpp"
+#include "src/sim/slab.hpp"
 #include "src/sim/task.hpp"
 
 namespace lifl::dp {
@@ -32,16 +34,16 @@ class UpdatePool {
   explicit UpdatePool(sim::Simulator& sim) : sim_(sim) {}
 
   /// Enqueue; wakes the longest-waiting consumer, if any. Delivery happens
-  /// at the current instant through the simulator's zero-delay fast path —
-  /// no heap traffic per message on the ingest hot path.
+  /// at the current instant through the simulator's zero-delay fast path.
+  /// The {waiter, update} hand-off is parked in the pool's hand-off slab
+  /// and the event is a 12-byte {pool, slot} trampoline, so once the slab,
+  /// the queues and the simulator have reached their working size a push
+  /// allocates nothing. Parked hand-offs die with the pool: its trampolines
+  /// must not run after it is destroyed (as for the plane's resources).
   void push(fl::ModelUpdate u) {
     ++total_pushed_;
     if (!waiters_.empty()) {
-      Waiter w = std::move(waiters_.front());
-      waiters_.pop_front();
-      sim_.schedule_now([w = std::move(w), u = std::move(u)]() mutable {
-        w(std::move(u));
-      });
+      hand_off(waiters_.take_front(), std::move(u));
       return;
     }
     entries_.push_back(Entry{std::move(u), sim_.now()});
@@ -59,10 +61,7 @@ class UpdatePool {
   /// Asynchronous pop: fires immediately if buffered, else on next push.
   void pop_async(Waiter w) {
     if (!entries_.empty()) {
-      fl::ModelUpdate u = take_front();
-      sim_.schedule_now([w = std::move(w), u = std::move(u)]() mutable {
-        w(std::move(u));
-      });
+      hand_off(std::move(w), take_front());
       return;
     }
     waiters_.push_back(std::move(w));
@@ -179,6 +178,33 @@ class UpdatePool {
     sim::Task fn;
   };
 
+  /// A consumer wake-up scheduled for the current instant.
+  struct Handoff {
+    Waiter w;
+    fl::ModelUpdate u;
+  };
+  struct HandoffFn {
+    UpdatePool* pool;
+    std::uint32_t slot;
+    void operator()() const { pool->fire(slot); }
+  };
+  /// Hand-off slab capacity kept across drains. A leaf re-arm can release
+  /// hundreds of hand-offs at one instant; the slab returns that burst's
+  /// storage once every hand-off fired instead of pinning it.
+  static constexpr std::size_t kHandoffsKept = 64;
+
+  void hand_off(Waiter w, fl::ModelUpdate u) {
+    const std::uint32_t slot =
+        handoffs_.park(Handoff{std::move(w), std::move(u)});
+    sim_.schedule_now(HandoffFn{this, slot});
+  }
+
+  void fire(std::uint32_t slot) {
+    Handoff h = handoffs_.take(slot);
+    handoffs_.release_if_idle(kHandoffsKept);
+    h.w(std::move(h.u));
+  }
+
   /// Fire every watcher satisfied by the current depth as ONE batched
   /// zero-delay event (registration order preserved) instead of an event
   /// per watcher: a push that releases a whole lazy-aggregation fan-in
@@ -203,8 +229,7 @@ class UpdatePool {
   }
 
   fl::ModelUpdate take_front() {
-    Entry e = std::move(entries_.front());
-    entries_.pop_front();
+    Entry e = entries_.take_front();
     const double wait = sim_.now() - e.enqueued_at;
     total_delay_ += wait;
     wait_obs_.observe(wait);
@@ -212,8 +237,9 @@ class UpdatePool {
   }
 
   sim::Simulator& sim_;
-  std::deque<Entry> entries_;
-  std::deque<Waiter> waiters_;
+  sim::Fifo<Entry> entries_;
+  sim::Fifo<Waiter> waiters_;
+  sim::Slab<Handoff> handoffs_;  ///< parked wake-ups, by HandoffFn::slot
   std::vector<DepthWatcher> depth_watchers_;
   std::map<fl::ParticipantId, std::vector<fl::ModelUpdate>> leases_;
   std::size_t max_depth_ = 0;

@@ -62,16 +62,15 @@ void AggregatorRuntime::PoolWaiter::operator()(ModelUpdate u) const {
   }
   // Taking the update out of the queue is a broker delivery on brokered
   // planes and free under LIFL's in-place queuing (§4.2).
-  auto shared = std::make_shared<ModelUpdate>(std::move(u));
-  c->plane->consume(c->node, *shared, ConsumeReady{c, shared});
+  c->plane->consume(c->node, std::move(u), ConsumeReady{c});
 }
 
-void AggregatorRuntime::ConsumeReady::operator()() const {
+void AggregatorRuntime::ConsumeReady::operator()(ModelUpdate u) const {
   if (c->rt == nullptr) {
-    c->plane->env(c->node).pool.push(std::move(*u));
+    c->plane->env(c->node).pool.push(std::move(u));
     return;
   }
-  c->rt->deliver(std::move(*u));
+  c->rt->deliver(std::move(u));
 }
 
 void AggregatorRuntime::RecvDone::operator()() const {
@@ -148,8 +147,7 @@ void AggregatorRuntime::stop() {
     processing_ = false;
   }
   while (!fifo_.empty()) {
-    plane_.env(cfg_.node).pool.push(std::move(fifo_.front()));
-    fifo_.pop_front();
+    plane_.env(cfg_.node).pool.push(fifo_.take_front());
   }
   // Everything accepted is accounted for — folded work was (or will be)
   // emitted, the rest just went back to the pool — so the lease clears in
@@ -216,8 +214,7 @@ void AggregatorRuntime::rearm(Config cfg) {
   // Stateless: drop all aggregation state; keep the warm sandbox. Updates
   // still buffered (none, if the caller honored idle()) go back to the pool.
   while (!fifo_.empty()) {
-    plane_.env(cfg_.node).pool.push(std::move(fifo_.front()));
-    fifo_.pop_front();
+    plane_.env(cfg_.node).pool.push(fifo_.take_front());
   }
   if (cfg_.leased) plane_.env(cfg_.node).pool.lease_ack(cfg_.id);
   acc_.reset();
@@ -316,9 +313,7 @@ void AggregatorRuntime::pump() {
     // Lazy: hold the batch until every expected update has arrived.
     return;
   }
-  ModelUpdate u = std::move(fifo_.front());
-  fifo_.pop_front();
-  process_one(std::move(u));
+  process_one(fifo_.take_front());
 }
 
 void AggregatorRuntime::process_one(ModelUpdate u) {

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -10,6 +9,7 @@
 #include "src/dataplane/dataplane.hpp"
 #include "src/fl/fedavg.hpp"
 #include "src/fl/model_update.hpp"
+#include "src/sim/fifo.hpp"
 #include "src/sim/time.hpp"
 
 namespace lifl::fl {
@@ -243,11 +243,11 @@ class AggregatorRuntime {
     std::shared_ptr<Ctx> c;
     void operator()(ModelUpdate u) const;
   };
-  /// Broker-consume continuation (carries the drained update).
+  /// Consume continuation: receives the update back from the plane (the
+  /// update rides the broker delivery's flight on brokered planes).
   struct ConsumeReady {
     std::shared_ptr<Ctx> c;
-    std::shared_ptr<ModelUpdate> u;
-    void operator()() const;
+    void operator()(ModelUpdate u) const;
   };
   /// Recv / Agg step completions (16 bytes; core-pool slab stays inline).
   struct RecvDone {
@@ -276,7 +276,7 @@ class AggregatorRuntime {
   sim::Simulator& sim_;
   Config cfg_;
   FedAvgAccumulator acc_;
-  std::deque<ModelUpdate> fifo_;
+  sim::Fifo<ModelUpdate> fifo_;
   std::optional<ModelUpdate> in_flight_;  ///< update mid-Recv/Agg
   std::shared_ptr<Ctx> ctx_;  ///< guards pool waiters across stop()
 

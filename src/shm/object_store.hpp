@@ -2,11 +2,13 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <functional>
 #include <memory>
 #include <stdexcept>
 #include <unordered_map>
 
 #include "src/shm/object_key.hpp"
+#include "src/sim/block_pool.hpp"
 #include "src/sim/random.hpp"
 
 namespace lifl::shm {
@@ -57,6 +59,16 @@ class ObjectStore {
   /// the world is torn down. Lease deleters lock the token and skip the
   /// release once the store is gone instead of touching freed memory.
   std::weak_ptr<ObjectStore*> liveness() const noexcept { return self_; }
+
+  /// RAII reference on `key`: when the last copy drops, one reference is
+  /// released (through the liveness token, so a lease outliving the store
+  /// is a no-op). The key, the token and the shared_ptr control block share
+  /// one block from the calling thread's `sim::BlockPool`, so issuing and
+  /// dropping leases in steady state never reaches the global allocator.
+  std::shared_ptr<const void> lease(const ObjectKey& key) const {
+    return std::allocate_shared<Lease>(sim::PooledAllocator<Lease>{}, key,
+                                       self_);
+  }
 
   /// Store an immutable object; returns its freshly generated key.
   /// `refs` is the number of consumers expected to release it.
@@ -165,9 +177,27 @@ class ObjectStore {
     std::uint32_t refs = 0;
   };
 
+  struct Lease {
+    Lease(const ObjectKey& k, std::weak_ptr<ObjectStore*> t)
+        : key(k), token(std::move(t)) {}
+    Lease(const Lease&) = delete;
+    Lease& operator=(const Lease&) = delete;
+    ~Lease() {
+      if (const auto store = token.lock()) (*store)->release(key);
+    }
+    ObjectKey key;
+    std::weak_ptr<ObjectStore*> token;
+  };
+
+  using NodeAlloc = sim::PooledAllocator<std::pair<const ObjectKey, Entry>>;
+  using Map = std::unordered_map<ObjectKey, Entry, ObjectKeyHash,
+                                 std::equal_to<ObjectKey>, NodeAlloc>;
+
   sim::Rng rng_;
   std::size_t pool_capacity_;
-  std::unordered_map<ObjectKey, Entry, ObjectKeyHash> objects_;
+  /// Nodes come from the thread's block pool: a put/release pair in steady
+  /// state recycles the node the previous release returned.
+  Map objects_;
   ObjectStoreStats stats_;
   std::shared_ptr<ObjectStore*> self_{
       std::make_shared<ObjectStore*>(this)};

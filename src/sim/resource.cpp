@@ -28,19 +28,6 @@ void Resource::acquire(SimTime service_time, Callback on_complete) {
   }
 }
 
-std::uint32_t Resource::park(Callback done) {
-  std::uint32_t slot;
-  if (!free_slots_.empty()) {
-    slot = free_slots_.back();
-    free_slots_.pop_back();
-    in_service_[slot] = std::move(done);
-  } else {
-    slot = static_cast<std::uint32_t>(in_service_.size());
-    in_service_.push_back(std::move(done));
-  }
-  return slot;
-}
-
 void Resource::start(Job job) {
   account();
   ++busy_;
@@ -49,20 +36,17 @@ void Resource::start(Job job) {
   // trampoline (always Task-inline), so the hot path never heap-allocates.
   // `this` outlives the simulation by construction (resources are owned by
   // nodes/the cluster).
-  const std::uint32_t slot = park(std::move(job.done));
+  const std::uint32_t slot = in_service_.park(std::move(job.done));
   sim_.schedule_after(job.service, FinishFn{this, slot});
 }
 
 void Resource::on_finish(std::uint32_t slot) {
-  Callback done = std::move(in_service_[slot]);
-  free_slots_.push_back(slot);
+  Callback done = in_service_.take(slot);
   account();
   --busy_;
   ++completed_;
   while (busy_ < capacity_ && !queue_.empty()) {
-    Job next = std::move(queue_.front());
-    queue_.pop_front();
-    start(std::move(next));
+    start(queue_.take_front());
   }
   if (done) done();
 }
@@ -71,9 +55,7 @@ void Resource::set_capacity(std::uint32_t capacity) {
   account();
   capacity_ = capacity;
   while (busy_ < capacity_ && !queue_.empty()) {
-    Job next = std::move(queue_.front());
-    queue_.pop_front();
-    start(std::move(next));
+    start(queue_.take_front());
   }
 }
 

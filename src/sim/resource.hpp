@@ -1,12 +1,13 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "src/sim/fifo.hpp"
 #include "src/sim/simulator.hpp"
+#include "src/sim/slab.hpp"
 #include "src/sim/task.hpp"
 #include "src/sim/time.hpp"
 
@@ -99,18 +100,16 @@ class Resource {
   void start(Job job);
   void on_finish(std::uint32_t slot);
   void account() noexcept;
-  std::uint32_t park(Callback done);
 
   Simulator& sim_;
   std::string name_;
   std::uint32_t capacity_;
   std::uint32_t busy_ = 0;
-  std::deque<Job> queue_;
+  Fifo<Job> queue_;
   std::uint64_t completed_ = 0;
 
   // Slab of in-service completion callbacks, indexed by FinishFn::slot.
-  std::vector<Callback> in_service_;
-  std::vector<std::uint32_t> free_slots_;
+  Slab<Callback> in_service_;
 
   // Piecewise-constant busy integral.
   mutable SimTime busy_integral_ = 0.0;

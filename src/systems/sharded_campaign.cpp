@@ -331,7 +331,10 @@ struct ArrivalFn {
       attempt_upload(st, g, std::move(u), profile.uplink_bytes_per_sec, seq,
                      0);
     } else {
-      // Fault-free fast path: preserved verbatim (zero allocations).
+      // Fault-free fast path: no closure of its own. The upload's flight,
+      // lease and pool hand-off draw on warmed-up slabs and free lists, so
+      // in steady state it allocates nothing (tests/
+      // upload_alloc_budget_test.cpp bounds it at 0.1 per upload).
       g->plane->client_upload(0, std::move(u), profile.uplink_bytes_per_sec);
     }
     ++g->launched;
