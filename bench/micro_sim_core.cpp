@@ -14,6 +14,12 @@
 //              firing: the adversarial all-pending-at-once shape.
 //   ring     — a pure zero-delay storm (the ingest fast path: every
 //              UpdatePool delivery is a same-instant wake-up).
+//   shallow  — report only: 64 and 1,024 self-rescheduling chains with
+//              sub-20 ms gaps, the pending depth the 1M-client campaigns
+//              actually run at (the calendar never builds; every timed
+//              event is one near-heap push and pop). Reps alternate
+//              between the two cores; the median and the min-max spread
+//              are printed.
 //
 // Throughput counts core operations (schedule + cancel + dispatch) over the
 // full mix, identical for both cores. Emits BENCH_sim_core.json; CI uploads
@@ -33,6 +39,7 @@
 #include <queue>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_util.hpp"
@@ -255,6 +262,84 @@ Run ring_mix(std::size_t n) {
   return r;
 }
 
+/// Shared state of one shallow-mix run.
+template <typename Sim>
+struct ShallowCtx {
+  Sim sim;
+  std::uint64_t left = 0;
+};
+
+/// One self-rescheduling chain: 16 bytes, inline in both cores' callbacks.
+template <typename Sim>
+struct ShallowTick {
+  ShallowCtx<Sim>* c;
+  std::uint64_t state;
+  void operator()() const {
+    if (c->left == 0) return;
+    --c->left;
+    const std::uint64_t next =
+        state * 6364136223846793005ull + 1442695040888963407ull;
+    const double gap = static_cast<double>(next >> 11) * 0x1.0p-53 * 0.02;
+    c->sim.schedule_after(gap, ShallowTick{c, next});
+  }
+};
+
+/// `chains` self-rescheduling event chains, `n` chain steps in total.
+template <typename Sim>
+Run shallow_mix(std::size_t chains, std::size_t n) {
+  auto ctx = std::make_unique<ShallowCtx<Sim>>();
+  ctx->left = n;
+  const auto t0 = std::chrono::steady_clock::now();
+  for (std::size_t i = 0; i < chains; ++i) {
+    const std::uint64_t seed = i * 0x9E3779B97F4A7C15ull;
+    ctx->sim.schedule_after(0.0, ShallowTick<Sim>{ctx.get(), seed});
+  }
+  ctx->sim.run();
+  const auto t1 = std::chrono::steady_clock::now();
+
+  Run r;
+  r.ops = 2 * ctx->sim.dispatched();  // every dispatch was also a schedule
+  r.secs = std::chrono::duration<double>(t1 - t0).count();
+  return r;
+}
+
+/// Median and min-max spread of one core's interleaved reps, in op/s.
+struct Spread {
+  double median = 0.0;
+  double min = 0.0;
+  double max = 0.0;
+};
+
+/// `v` holds an odd number of reps.
+Spread spread_of(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return Spread{v[v.size() / 2], v.front(), v.back()};
+}
+
+/// Legacy and new reps of the shallow mix, alternating which core goes
+/// first so drift on a shared host hits both alike.
+std::pair<Spread, Spread> shallow_pair(std::size_t chains, std::size_t n,
+                                       int reps) {
+  std::vector<double> old_ops, new_ops;
+  for (int i = 0; i < reps; ++i) {
+    const auto legacy = [&] {
+      old_ops.push_back(shallow_mix<LegacySimulator>(chains, n).ops_per_sec());
+    };
+    const auto current = [&] {
+      new_ops.push_back(
+          shallow_mix<lifl::sim::Simulator>(chains, n).ops_per_sec());
+    };
+    if (i % 2 == 0) {
+      legacy();
+      current();
+    } else {
+      current();
+      legacy();
+    }
+  }
+  return {spread_of(old_ops), spread_of(new_ops)};
+}
+
 /// Best of `reps` runs (single-core CI runners are noisy).
 template <typename Fn>
 Run best_of(int reps, Fn fn) {
@@ -294,6 +379,10 @@ int main(int argc, char** argv) {
   const Run r_new =
       best_of(2, [&] { return ring_mix<lifl::sim::Simulator>(n); });
 
+  constexpr int kShallowReps = 7;
+  const auto [s64_old, s64_new] = shallow_pair(64, n, kShallowReps);
+  const auto [s1k_old, s1k_new] = shallow_pair(1024, n, kShallowReps);
+
   const double c_speedup = c_new.ops_per_sec() / c_old.ops_per_sec();
   const double h_speedup = h_new.ops_per_sec() / h_old.ops_per_sec();
   const double r_speedup = r_new.ops_per_sec() / r_old.ops_per_sec();
@@ -304,6 +393,20 @@ int main(int argc, char** argv) {
               h_old.ops_per_sec(), h_new.ops_per_sec(), h_speedup);
   std::printf("ring:     legacy %9.0f op/s | new %9.0f op/s | %.2fx\n",
               r_old.ops_per_sec(), r_new.ops_per_sec(), r_speedup);
+
+  std::printf("\nshallow (report only; median [min, max] of %d interleaved "
+              "reps, op/s):\n",
+              kShallowReps);
+  const auto print_shallow = [](const char* label, const Spread& o,
+                                const Spread& c) {
+    std::printf(
+        "  %-12s legacy %9.0f [%9.0f, %9.0f] | new %9.0f [%9.0f, %9.0f] | "
+        "%.2fx\n",
+        label, o.median, o.min, o.max, c.median, c.min, c.max,
+        c.median / o.median);
+  };
+  print_shallow("64 chains", s64_old, s64_new);
+  print_shallow("1024 chains", s1k_old, s1k_new);
 
   FILE* out = std::fopen("BENCH_sim_core.json", "w");
   if (out != nullptr) {
@@ -318,11 +421,23 @@ int main(int argc, char** argv) {
         "  \"churn\": {\"legacy_ops_per_sec\": %.0f, "
         "\"new_ops_per_sec\": %.0f, \"speedup\": %.3f},\n"
         "  \"ring\": {\"legacy_ops_per_sec\": %.0f, "
-        "\"new_ops_per_sec\": %.0f, \"speedup\": %.3f}\n"
-        "}\n",
+        "\"new_ops_per_sec\": %.0f, \"speedup\": %.3f},\n",
         n, c_old.ops_per_sec(), c_new.ops_per_sec(), c_speedup,
         h_old.ops_per_sec(), h_new.ops_per_sec(), h_speedup,
         r_old.ops_per_sec(), r_new.ops_per_sec(), r_speedup);
+    const auto json_shallow = [out](const char* key, const Spread& o,
+                                    const Spread& c, const char* sep) {
+      std::fprintf(out,
+                   "  \"%s\": {\"legacy_median_ops_per_sec\": %.0f, "
+                   "\"legacy_min\": %.0f, \"legacy_max\": %.0f, "
+                   "\"new_median_ops_per_sec\": %.0f, \"new_min\": %.0f, "
+                   "\"new_max\": %.0f, \"speedup\": %.3f}%s\n",
+                   key, o.median, o.min, o.max, c.median, c.min, c.max,
+                   c.median / o.median, sep);
+    };
+    json_shallow("shallow_64", s64_old, s64_new, ",");
+    json_shallow("shallow_1024", s1k_old, s1k_new, "");
+    std::fprintf(out, "}\n");
     std::fclose(out);
     std::printf("\nwrote BENCH_sim_core.json\n");
   }

@@ -16,14 +16,29 @@ CostStep cpu_step(StepResource where, const sim::Node& node, double cycles,
   return s;
 }
 
+// Both overloads fill the claimed flight in place: the steps are copied
+// once, straight into the slab. `finish` left the slot's `then`, `done` and
+// `update` moved-from, so a flight without an update need not reset it.
 void StepRunner::run(const StepList& steps, sim::Task done) {
-  dispatch(flights_.park(Flight{steps, 0, {}, {}, std::move(done)}));
+  const std::uint32_t slot = flights_.claim();
+  Flight& f = flights_[slot];
+  f.steps = steps;
+  f.i = 0;
+  f.then = nullptr;
+  f.done = std::move(done);
+  dispatch(slot);
 }
 
 void StepRunner::run(const StepList& steps, fl::ModelUpdate update,
                      UpdateFn then, sim::Task done) {
-  dispatch(flights_.park(Flight{steps, 0, std::move(update), std::move(then),
-                                std::move(done)}));
+  const std::uint32_t slot = flights_.claim();
+  Flight& f = flights_[slot];
+  f.steps = steps;
+  f.i = 0;
+  f.update = std::move(update);
+  f.then = std::move(then);
+  f.done = std::move(done);
+  dispatch(slot);
 }
 
 void StepRunner::advance(std::uint32_t slot) {

@@ -5,6 +5,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "src/sim/block_pool.hpp"
+
 namespace lifl::dp {
 
 namespace {
@@ -12,7 +14,7 @@ namespace {
 using wl::ClientEvent;
 using wl::ClientState;
 
-/// One live upload session. Heap-allocated and shared into its own event
+/// One live upload session. Pool-allocated and shared into its own event
 /// callbacks; the last pending event releases it.
 struct Session : std::enable_shared_from_this<Session> {
   DataPlane& plane;
@@ -158,7 +160,9 @@ void ResumableUpload::launch(DataPlane& plane, fl::ModelUpdate update,
   if (cfg.plan == nullptr) {
     throw std::invalid_argument("ResumableUpload: cfg.plan is required");
   }
-  auto s = std::make_shared<Session>(plane, std::move(update), std::move(cfg));
+  auto s = std::allocate_shared<Session>(sim::PooledAllocator<Session>{},
+                                         plane, std::move(update),
+                                         std::move(cfg));
   if (s->cfg.counters != nullptr) ++s->cfg.counters->sessions;
   const std::uint64_t cb = s->cfg.plan->config().chunk_bytes;
   s->total_chunks =

@@ -1,11 +1,11 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 
 #include "src/dataplane/dataplane.hpp"
 #include "src/fl/model_update.hpp"
 #include "src/obs/obs.hpp"
+#include "src/sim/task.hpp"
 #include "src/workload/lifecycle.hpp"
 
 namespace lifl::dp {
@@ -52,14 +52,18 @@ class ResumableUpload {
     /// identical. Default-constructed == disabled.
     obs::GroupObs obs;
     /// Fires when the update is deposited: (upload duration in sim seconds
-    /// from launch, number of disconnects the session survived).
-    std::function<void(double, std::uint32_t)> on_complete;
+    /// from launch, number of disconnects the session survived). Like the
+    /// other hooks, a capture of up to 24 bytes is stored inline.
+    sim::TaskFn<double, std::uint32_t> on_complete;
     sim::Task on_disconnect;  ///< fires at each mid-upload drop (parking)
     sim::Task on_resume;      ///< fires at each reconnect (un-parking)
   };
 
-  /// Start a session; it owns itself and frees on completion. Throws
-  /// `std::invalid_argument` if `cfg.plan` is null.
+  /// Start a session; it owns itself and frees on completion. Session
+  /// records come from the calling thread's `sim::BlockPool`, so with
+  /// Task-inline hooks a steady stream of sessions does not reach the
+  /// global allocator. Throws `std::invalid_argument` if `cfg.plan` is
+  /// null.
   static void launch(DataPlane& plane, fl::ModelUpdate update, Config cfg);
 };
 

@@ -18,26 +18,18 @@ void Resource::account() noexcept {
   last_change_ = now;
 }
 
-void Resource::acquire(SimTime service_time, Callback on_complete) {
-  Job job{service_time < 0 ? 0 : service_time, sim_.now(),
-          std::move(on_complete)};
-  if (busy_ < capacity_) {
-    start(std::move(job));
-  } else {
-    queue_.push_back(std::move(job));
-  }
+void Resource::start(Job job) {
+  total_wait_ += sim_.now() - job.enqueued_at;
+  begin_service(in_service_.park(std::move(job.done)), job.service);
 }
 
-void Resource::start(Job job) {
+void Resource::begin_service(std::uint32_t slot, SimTime service) {
   account();
   ++busy_;
-  total_wait_ += sim_.now() - job.enqueued_at;
-  // Park the completion in the slab; the scheduled event is a 12-byte
-  // trampoline (always Task-inline), so the hot path never heap-allocates.
-  // `this` outlives the simulation by construction (resources are owned by
-  // nodes/the cluster).
-  const std::uint32_t slot = in_service_.park(std::move(job.done));
-  sim_.schedule_after(job.service, FinishFn{this, slot});
+  // The scheduled event is a 12-byte trampoline (always Task-inline), so
+  // the hot path never heap-allocates. `this` outlives the simulation by
+  // construction (resources are owned by nodes/the cluster).
+  sim_.schedule_after(service, FinishFn{this, slot});
 }
 
 void Resource::on_finish(std::uint32_t slot) {

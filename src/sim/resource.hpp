@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/sim/fifo.hpp"
@@ -25,7 +26,9 @@ namespace lifl::sim {
 /// Completion callbacks are `sim::Task`s parked in a slab: the event the
 /// simulator carries is a 12-byte {resource, slot} trampoline, so submitting
 /// a job performs no per-job heap allocation however large the caller's
-/// capture is (beyond the Task's own inline/heap policy).
+/// capture is (beyond the Task's own inline/heap policy). A job that starts
+/// at once builds its completion directly in its slab slot; only a job that
+/// has to queue is wrapped in a `Job` first.
 class Resource {
  public:
   using Callback = Task;
@@ -34,10 +37,26 @@ class Resource {
   Resource(const Resource&) = delete;
   Resource& operator=(const Resource&) = delete;
 
-  /// Submit a job needing `service_time` seconds of a server; `on_complete`
-  /// fires when the job finishes service. Zero-duration jobs still respect
-  /// FIFO order.
-  void acquire(SimTime service_time, Callback on_complete);
+  /// Submit a job needing `service_time` seconds of a server; the callable
+  /// `on_complete` fires when the job finishes service. Zero-duration jobs
+  /// still respect FIFO order.
+  template <typename F>
+  void acquire(SimTime service_time, F&& on_complete) {
+    if (service_time < 0) service_time = 0;
+    if (busy_ < capacity_) {
+      const std::uint32_t slot = in_service_.claim();
+      try {
+        in_service_[slot].emplace(std::forward<F>(on_complete));
+      } catch (...) {
+        in_service_.release(slot);
+        throw;
+      }
+      begin_service(slot, service_time);
+    } else {
+      queue_.push_back(Job{service_time, sim_.now(),
+                           Callback(std::forward<F>(on_complete))});
+    }
+  }
 
   /// Change the number of servers (vertical scaling). Growing starts queued
   /// jobs immediately; shrinking lets in-service jobs finish (no preemption).
@@ -97,7 +116,10 @@ class Resource {
     void operator()() const { r->on_finish(slot); }
   };
 
+  /// Start a queued job.
   void start(Job job);
+  /// Put the completion parked in `slot` into service.
+  void begin_service(std::uint32_t slot, SimTime service);
   void on_finish(std::uint32_t slot);
   void account() noexcept;
 
@@ -154,8 +176,9 @@ class MultiQueueResource {
 
   /// Submit a job on behalf of `flow` (client / participant id): steered to
   /// queue hash(flow) % queues, FIFO within the queue.
-  void acquire(std::uint64_t flow, SimTime service_time, Task on_complete) {
-    queue_for(flow).acquire(service_time, std::move(on_complete));
+  template <typename F>
+  void acquire(std::uint64_t flow, SimTime service_time, F&& on_complete) {
+    queue_for(flow).acquire(service_time, std::forward<F>(on_complete));
   }
 
   /// The queue a flow steers to.

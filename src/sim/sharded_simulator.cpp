@@ -25,6 +25,7 @@ ShardedSimulator::ShardedSimulator(Config cfg)
     throw std::invalid_argument("ShardedSimulator: lookahead must be > 0");
   }
   shards_.resize(cfg.shards);
+  claimed_ = std::make_unique<Claim[]>(cfg.shards);
   for (auto& cell : shards_) cell.sim = std::make_unique<Simulator>();
   mail_.resize(cfg.shards * cfg.shards);
   promises_.resize(cfg.shards);
@@ -136,7 +137,7 @@ void ShardedSimulator::run_shard_window(std::size_t s) {
     // rethrow (matching the 1-shard mode, where this would propagate).
     record_error();
   }
-  // Passive per-window accounting, written only by the owning thread.
+  // Passive per-window accounting, written only by the running thread.
   // Dispatch counts are deterministic, so the trace event is too.
   const std::uint64_t ran = cell.sim->dispatched() - before;
   ++cell.stats.windows;
@@ -178,7 +179,8 @@ void ShardedSimulator::ensure_workers() {
   }
 }
 
-void ShardedSimulator::worker_loop(std::size_t s, std::uint64_t base_epoch) {
+void ShardedSimulator::worker_loop(std::size_t home,
+                                   std::uint64_t base_epoch) {
   std::uint64_t seen = base_epoch;
   for (;;) {
     // Wait for the next window (or shutdown).
@@ -197,13 +199,31 @@ void ShardedSimulator::worker_loop(std::size_t s, std::uint64_t base_epoch) {
     }
     if (stop_.load(std::memory_order_acquire)) return;
     seen = epoch_.load(std::memory_order_acquire);
-    run_shard_window(s);
-    if (done_.fetch_add(1, std::memory_order_acq_rel) + 1 ==
-        shards_.size() - 1) {
+    if (run_claimed(home, seen)) {
       std::lock_guard<std::mutex> lock(mu_);
       cv_.notify_all();
     }
   }
+}
+
+bool ShardedSimulator::run_claimed(std::size_t home, std::uint64_t epoch) {
+  const std::size_t k = shards_.size();
+  bool last = false;
+  for (std::size_t i = 0; i < k; ++i) {
+    const std::size_t s = home + i < k ? home + i : home + i - k;
+    std::uint64_t prev = claimed_[s].epoch.load(std::memory_order_relaxed);
+    // A thread that woke late for an older window sees `prev >= epoch`
+    // (every shard was claimed in every window) and claims nothing.
+    if (prev >= epoch ||
+        !claimed_[s].epoch.compare_exchange_strong(
+            prev, epoch, std::memory_order_acq_rel,
+            std::memory_order_relaxed)) {
+      continue;
+    }
+    run_shard_window(s);
+    last = done_.fetch_add(1, std::memory_order_acq_rel) + 1 == k;
+  }
+  return last;
 }
 
 SimTime ShardedSimulator::plan_window(SimTime t_min) {
@@ -295,20 +315,21 @@ std::uint64_t ShardedSimulator::run_impl(SimTime mark) {
 
     // ---- parallel phase: all shards execute events below the horizon.
     done_.store(0, std::memory_order_release);
+    std::uint64_t epoch;
     {
       std::lock_guard<std::mutex> lock(mu_);
-      epoch_.fetch_add(1, std::memory_order_acq_rel);
+      epoch = epoch_.fetch_add(1, std::memory_order_acq_rel) + 1;
     }
     cv_.notify_all();
-    run_shard_window(0);
+    run_claimed(0, epoch);
     int spins = 0;
-    while (done_.load(std::memory_order_acquire) != k - 1) {
+    while (done_.load(std::memory_order_acquire) != k) {
       if (++spins < kSpinIters) {
         std::this_thread::yield();
       } else {
         std::unique_lock<std::mutex> lock(mu_);
         cv_.wait(lock, [&] {
-          return done_.load(std::memory_order_acquire) == k - 1;
+          return done_.load(std::memory_order_acquire) == k;
         });
       }
     }

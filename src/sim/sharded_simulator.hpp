@@ -20,15 +20,26 @@
 
 namespace lifl::sim {
 
-/// A sharded discrete-event simulator: K independent `Simulator` cores, one
-/// per worker thread, synchronized with conservative time windows.
+/// A sharded discrete-event simulator: K independent `Simulator` cores run
+/// by K threads (the coordinator and K-1 workers), synchronized with
+/// conservative time windows.
 ///
 /// The model is partitioned into *shards* (node groups in the cluster): all
 /// state of a shard is touched only by that shard's events, so intra-window
-/// execution is lock-free — each worker thread drains its own slab/calendar
-/// core with zero shared-state traffic. Cross-shard interaction goes
-/// through `post`, which enqueues the event into a single-writer mailbox;
-/// mailboxes are exchanged at window barriers.
+/// execution is lock-free — each shard's window is run by one thread that
+/// drains the shard's own slab/calendar core with zero shared-state
+/// traffic. Cross-shard interaction goes through `post`, which enqueues the
+/// event into a single-writer mailbox; mailboxes are exchanged at window
+/// barriers.
+///
+/// Every thread has a home shard (the coordinator shard 0, worker s shard
+/// s) and runs it first; a thread that finishes its home shard then claims
+/// any shard whose home thread has not started it yet. A window therefore
+/// waits only on shards already running, never on a thread that has not
+/// been scheduled yet — on a machine with fewer free cores than shards the
+/// running threads absorb the missing ones' work instead of stalling every
+/// window for a scheduler quantum. Which thread runs a shard has no effect
+/// on the shard's events, so results are unchanged.
 ///
 /// Window protocol (bounded-lag synchronization widened by promises):
 /// every cross-shard event carries a delivery time at least `lookahead`
@@ -136,7 +147,7 @@ class ShardedSimulator {
   std::size_t pending_regular() const;
   /// Cross-shard events posted so far (same-shard posts excluded). Only
   /// meaningful between runs / from the coordinator (per-shard counters are
-  /// owned by their worker threads during a window).
+  /// owned by the threads running their windows).
   std::uint64_t cross_posts() const noexcept;
   /// Window barriers executed by multi-shard `run()` calls.
   std::uint64_t windows() const noexcept { return windows_; }
@@ -170,11 +181,12 @@ class ShardedSimulator {
     return shards_[i].stats;
   }
 
-  /// Attach a passive trace recorder (nullptr detaches). Each shard's
-  /// worker emits its window events into its own ring; the coordinator
-  /// emits the mailbox-exchange events into the coordinator ring between
-  /// windows — recording never schedules events or alters the window
-  /// protocol, so traced runs stay bitwise identical to untraced runs.
+  /// Attach a passive trace recorder (nullptr detaches). The thread running
+  /// a shard's window emits its window events into the shard's own ring;
+  /// the coordinator emits the mailbox-exchange events into the coordinator
+  /// ring between windows — recording never schedules events or alters
+  /// the window protocol, so traced runs stay bitwise identical to untraced
+  /// runs.
   void set_trace(obs::TraceRecorder* trace) noexcept { trace_ = trace; }
 
  private:
@@ -188,12 +200,12 @@ class ShardedSimulator {
 
   /// Per-shard state, cache-line separated: `sim` and `posted` (the
   /// per-source cross-post sequence, which doubles as the cross-post
-  /// counter) are touched by the owning worker thread during a window, by
-  /// the coordinator only between windows.
+  /// counter) are touched by the one thread running the shard's window
+  /// during a window, by the coordinator only between windows.
   struct alignas(64) ShardCell {
     std::unique_ptr<Simulator> sim;
     std::uint64_t posted = 0;
-    /// `windows`/`empty_windows` are written by the owning thread inside
+    /// `windows`/`empty_windows` are written by the running thread inside
     /// `run_shard_window`; `idle_wall_secs` and `done_at` are reconciled
     /// by the coordinator in the serial phase (workers parked).
     WindowStats stats;
@@ -227,7 +239,11 @@ class ShardedSimulator {
   /// Returns the number of cross events delivered.
   std::size_t drain_mailboxes();
   std::size_t mail_pending() const;
-  void worker_loop(std::size_t s, std::uint64_t base_epoch);
+  void worker_loop(std::size_t home, std::uint64_t base_epoch);
+  /// Run the shards of window `epoch` this thread can claim: `home` first,
+  /// then every other shard no thread has claimed yet. Returns true if this
+  /// thread finished the window's last shard.
+  bool run_claimed(std::size_t home, std::uint64_t epoch);
   /// Run the shard's window, capturing a model-callback exception so it
   /// can be rethrown on the coordinator after the barrier (in 1-shard mode
   /// exceptions propagate natively; the threaded mode must match instead
@@ -254,10 +270,18 @@ class ShardedSimulator {
   std::vector<SimTime> promised_;
 
   // ---- window barrier (used only when shard_count() > 1) --------------
-  // The coordinator publishes `window_end_` then bumps `epoch_`; workers
-  // run their window and bump `done_`. Waiters spin briefly (windows are
-  // typically microseconds apart under load), then block on the condvar so
-  // oversubscribed machines don't burn whole scheduler quanta.
+  // The coordinator publishes `window_end_` then bumps `epoch_`; threads
+  // claim shards (`claimed_`), run their windows and bump `done_` once per
+  // shard. Waiters spin briefly (windows are typically microseconds apart
+  // under load), then block on the condvar so oversubscribed machines
+  // don't burn whole scheduler quanta.
+  /// The last epoch whose window claimed the shard. A thread claims shard
+  /// s for window e by raising its slot from below e to e, so a thread
+  /// still acting on an older epoch can never claim anything.
+  struct alignas(64) Claim {
+    std::atomic<std::uint64_t> epoch{0};
+  };
+  std::unique_ptr<Claim[]> claimed_;
   std::mutex mu_;
   std::condition_variable cv_;
   std::atomic<std::uint64_t> epoch_{0};

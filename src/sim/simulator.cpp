@@ -1,6 +1,7 @@
 #include "src/sim/simulator.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <stdexcept>
 #include <utility>
@@ -16,53 +17,72 @@ constexpr std::size_t kMaxAvgOccupancy = 8;
 constexpr std::size_t kJumpAfterEmptyWindows = 64;
 }  // namespace
 
-std::uint32_t Simulator::alloc_slot(Callback cb, bool daemon) {
-  std::uint32_t slot;
-  if (!free_.empty()) {
-    slot = free_.back();
-    free_.pop_back();
-    Slot& s = slots_[slot];
-    s.cb = std::move(cb);
-    s.daemon = daemon;
-    s.next = kNil;
-  } else {
-    slot = static_cast<std::uint32_t>(slots_.size());
-    slots_.emplace_back();
-    slots_.back().cb = std::move(cb);
-    slots_.back().daemon = daemon;
+SimTime Simulator::clamp_time(SimTime t) const {
+  if (std::isnan(t)) {
+    throw std::invalid_argument("Simulator: event time is NaN");
   }
-  return slot;
+  return now_;
+}
+
+void Simulator::grow() {
+  const auto base = static_cast<std::uint32_t>(chunks_.size()) << kChunkShift;
+  chunks_.push_back(std::make_unique<Slot[]>(kChunkSlots));
+  // Capacity for every slot, so recycling a slot never reallocates.
+  free_.reserve(static_cast<std::size_t>(base) + kChunkSlots);
+  // Lowest index on top, so a fresh chunk fills front to back.
+  for (std::uint32_t i = kChunkSlots; i > 0; --i) {
+    free_.push_back(base + i - 1);
+  }
 }
 
 void Simulator::near_push(TimedEntry e) {
   near_.push_back(e);
-  std::size_t i = near_.size() - 1;
-  while (i > 0) {
-    const std::size_t parent = (i - 1) / 2;
-    if (!entry_later(near_[parent], near_[i])) break;
-    std::swap(near_[parent], near_[i]);
-    i = parent;
+  TimedEntry* h = near_.data();
+  const Key k = key(e);
+  std::size_t hole = near_.size() - 1;
+  while (hole > 0) {
+    const std::size_t parent = (hole - 1) / 2;
+    if (!(k < key(h[parent]))) break;
+    h[hole] = h[parent];
+    hole = parent;
   }
+  h[hole] = e;
 }
 
 void Simulator::near_pop() {
-  near_[0] = near_.back();
+  // Bottom-up: walk the root's hole down to a leaf along the smaller child
+  // (one branchless select per level), then sift the last entry up from
+  // there. The last entry almost always belongs near the bottom, so this
+  // saves the per-level "stop here?" compare of the textbook sift-down.
+  const TimedEntry last = near_.back();
   near_.pop_back();
   const std::size_t n = near_.size();
-  std::size_t i = 0;
-  for (;;) {
-    const std::size_t l = 2 * i + 1;
-    if (l >= n) break;
-    const std::size_t r = l + 1;
-    std::size_t next = (r < n && entry_later(near_[l], near_[r])) ? r : l;
-    if (!entry_later(near_[i], near_[next])) break;
-    std::swap(near_[i], near_[next]);
-    i = next;
+  if (n == 0) return;
+  TimedEntry* h = near_.data();
+  std::size_t hole = 0;
+  std::size_t child = 1;
+  while (child + 1 < n) {
+    child += static_cast<std::size_t>(key(h[child + 1]) < key(h[child]));
+    h[hole] = h[child];
+    hole = child;
+    child = 2 * hole + 1;
   }
+  if (child < n) {
+    h[hole] = h[child];
+    hole = child;
+  }
+  const Key k = key(last);
+  while (hole > 0) {
+    const std::size_t parent = (hole - 1) / 2;
+    if (!(k < key(h[parent]))) break;
+    h[hole] = h[parent];
+    hole = parent;
+  }
+  h[hole] = last;
 }
 
 void Simulator::calendar_insert(std::uint32_t slot) {
-  const Slot& s = slots_[slot];
+  Slot& s = slot_at(slot);
   if (buckets_.empty() || s.t < win_end_) {
     near_push(TimedEntry{s.t, s.seq, slot});
     if (buckets_.empty() && near_.size() > kCalendarBuildThreshold) {
@@ -73,7 +93,7 @@ void Simulator::calendar_insert(std::uint32_t slot) {
   // O(1) intrusive splice; the slot's line is already open from the
   // callback store, so only the 4-byte head write touches new memory.
   std::uint32_t& head = buckets_[bucket_of(s.t)];
-  slots_[slot].next = head;
+  s.next = head;
   head = slot;
   if (timed_live_ > buckets_.size() * kMaxAvgOccupancy) rebuild_calendar();
 }
@@ -83,7 +103,7 @@ void Simulator::rebuild_calendar() {
   std::vector<std::uint32_t> live;
   live.reserve(timed_live_);
   for (const TimedEntry& e : near_) {
-    if (slots_[e.slot].tombstone) {
+    if (slot_at(e.slot).tombstone) {
       free_slot(e.slot);
     } else {
       live.push_back(e.slot);
@@ -92,9 +112,9 @@ void Simulator::rebuild_calendar() {
   near_.clear();
   for (std::uint32_t head : buckets_) {
     while (head != kNil) {
-      const std::uint32_t next = slots_[head].next;
-      if (next != kNil) __builtin_prefetch(&slots_[next]);
-      if (slots_[head].tombstone) {
+      const std::uint32_t next = slot_at(head).next;
+      if (next != kNil) __builtin_prefetch(&slot_at(next));
+      if (slot_at(head).tombstone) {
         free_slot(head);
       } else {
         live.push_back(head);
@@ -108,7 +128,7 @@ void Simulator::rebuild_calendar() {
   buckets_.assign(nb, kNil);
 
   SimTime hi = now_;
-  for (const std::uint32_t s : live) hi = std::max(hi, slots_[s].t);
+  for (const std::uint32_t s : live) hi = std::max(hi, slot_at(s).t);
   const SimTime span = hi - now_;
   bucket_width_ = span > 0 ? span / static_cast<double>(nb) : 1.0;
   // Numeric floor so the absolute window index stays well inside 64 bits.
@@ -117,11 +137,12 @@ void Simulator::rebuild_calendar() {
   cur_window_ = static_cast<std::uint64_t>(now_ / bucket_width_);
   win_end_ = static_cast<SimTime>(cur_window_ + 1) * bucket_width_;
   for (const std::uint32_t s : live) {
-    if (slots_[s].t < win_end_) {
-      near_push(TimedEntry{slots_[s].t, slots_[s].seq, s});
+    Slot& rec = slot_at(s);
+    if (rec.t < win_end_) {
+      near_push(TimedEntry{rec.t, rec.seq, s});
     } else {
-      std::uint32_t& head = buckets_[bucket_of(slots_[s].t)];
-      slots_[s].next = head;
+      std::uint32_t& head = buckets_[bucket_of(rec.t)];
+      rec.next = head;
       head = s;
     }
   }
@@ -136,16 +157,17 @@ void Simulator::open_windows() {
     std::uint32_t chain = bucket;
     std::uint32_t kept = kNil;
     while (chain != kNil) {
-      const std::uint32_t next = slots_[chain].next;
-      // The chain wanders the slab; start the next line's fetch while this
+      Slot& rec = slot_at(chain);
+      const std::uint32_t next = rec.next;
+      // The chain wanders the slots; start the next line's fetch while this
       // entry is classified (pointer-chase latency dominates the walk).
-      if (next != kNil) __builtin_prefetch(&slots_[next]);
-      if (slots_[chain].tombstone) {
+      if (next != kNil) __builtin_prefetch(&slot_at(next));
+      if (rec.tombstone) {
         free_slot(chain);
-      } else if (slots_[chain].t < win_end_) {
-        near_push(TimedEntry{slots_[chain].t, slots_[chain].seq, chain});
+      } else if (rec.t < win_end_) {
+        near_push(TimedEntry{rec.t, rec.seq, chain});
       } else {
-        slots_[chain].next = kept;  // a later "year" of this bucket
+        rec.next = kept;  // a later "year" of this bucket
         kept = chain;
       }
       chain = next;
@@ -157,8 +179,8 @@ void Simulator::open_windows() {
       // instead of grinding through empty buckets one by one.
       SimTime min_t = std::numeric_limits<SimTime>::infinity();
       for (std::uint32_t head : buckets_) {
-        for (std::uint32_t s = head; s != kNil; s = slots_[s].next) {
-          if (!slots_[s].tombstone) min_t = std::min(min_t, slots_[s].t);
+        for (std::uint32_t s = head; s != kNil; s = slot_at(s).next) {
+          if (!slot_at(s).tombstone) min_t = std::min(min_t, slot_at(s).t);
         }
       }
       if (min_t == std::numeric_limits<SimTime>::infinity()) return;
@@ -184,12 +206,12 @@ void Simulator::ring_push(RingEntry e) {
   ++ring_size_;
 }
 
-EventId Simulator::schedule_impl(SimTime t, Callback cb, bool daemon) {
-  if (t < now_) t = now_;
-  const std::uint32_t slot = alloc_slot(std::move(cb), daemon);
-  Slot& s = slots_[slot];
+EventId Simulator::enqueue(std::uint32_t slot, SimTime t, bool daemon) {
+  Slot& s = slot_at(slot);
   s.t = t;
   s.seq = next_seq_++;
+  s.daemon = daemon;
+  s.next = kNil;
   if (t == now_) {
     s.timed = false;
     ring_push(RingEntry{s.seq, slot});
@@ -200,14 +222,14 @@ EventId Simulator::schedule_impl(SimTime t, Callback cb, bool daemon) {
   }
   ++pending_;
   if (!daemon) ++regular_pending_;
-  return (static_cast<EventId>(slots_[slot].gen) << 32) | slot;
+  return (static_cast<EventId>(s.gen) << 32) | slot;
 }
 
 bool Simulator::cancel(EventId id) {
   const auto slot = static_cast<std::uint32_t>(id & 0xffffffffu);
   const auto gen = static_cast<std::uint32_t>(id >> 32);
-  if (slot >= slots_.size()) return false;
-  Slot& s = slots_[slot];
+  if (slot >= chunks_.size() * kChunkSlots) return false;
+  Slot& s = slot_at(slot);
   if (s.gen != gen || s.tombstone) return false;
   // Destroy the callback now (it may pin resources); the queue handle is
   // recycled when it surfaces, never transiting the dispatch heap.
@@ -222,12 +244,12 @@ bool Simulator::cancel(EventId id) {
 void Simulator::skim_tombstones() {
   while (ring_size_ > 0) {
     const std::uint32_t slot = ring_[ring_head_].slot;
-    if (!slots_[slot].tombstone) break;
+    if (!slot_at(slot).tombstone) break;
     free_slot(slot);
     ring_pop();
   }
   for (;;) {
-    while (!near_.empty() && slots_[near_[0].slot].tombstone) {
+    while (!near_.empty() && slot_at(near_[0].slot).tombstone) {
       free_slot(near_[0].slot);
       near_pop();
     }
@@ -269,12 +291,24 @@ bool Simulator::dispatch_next(SimTime limit, bool bounded, bool strict) {
     --timed_live_;
   }
 
-  Callback cb = std::move(slots_[slot].cb);
-  if (!slots_[slot].daemon) --regular_pending_;
+  // Run the callback where it sits: chunks never move, so events it
+  // schedules cannot relocate it. The generation moves on first, so the
+  // running event's own id is already stale (it cannot cancel itself), and
+  // the slot joins the free list only once the callback has returned.
+  Slot& s = slot_at(slot);
+  ++s.gen;
+  if (!s.daemon) --regular_pending_;
   --pending_;
-  free_slot(slot);
   ++dispatched_;
-  cb();
+  try {
+    s.cb();
+  } catch (...) {
+    s.cb = nullptr;
+    free_.push_back(slot);
+    throw;
+  }
+  s.cb = nullptr;
+  free_.push_back(slot);
   return true;
 }
 
@@ -304,6 +338,9 @@ void Simulator::restore_clock(SimTime t, std::uint64_t dispatched) {
     throw std::logic_error(
         "Simulator::restore_clock: events are pending; the clock can only "
         "be restored onto an idle core");
+  }
+  if (std::isnan(t)) {
+    throw std::invalid_argument("Simulator::restore_clock: time is NaN");
   }
   if (t < now_) {
     throw std::logic_error(

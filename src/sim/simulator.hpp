@@ -2,6 +2,9 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "src/sim/task.hpp"
@@ -21,15 +24,24 @@ namespace lifl::sim {
 /// by themselves keep `run()` alive — exactly like daemon threads.
 ///
 /// The core is built for million-event campaigns:
-///  - Every event is one slab record (callback, time, sequence number)
-///    allocated off a free list: scheduling performs no per-event heap
-///    allocation and no map insert/erase.
+///  - Construct once, run in place. Every event is one slot record
+///    (callback, time, sequence number) taken off a free list; the schedule
+///    call builds the caller's callable directly in that slot
+///    (`TaskFn::emplace`), and dispatch invokes it where it sits. Slots live
+///    in fixed chunks of `kChunkSlots` that never move, so a running
+///    callback may schedule any number of events (growing the storage)
+///    without its own capture being relocated. Scheduling performs no
+///    per-event heap allocation and no map insert/erase.
 ///  - Timed events run through a two-stage calendar queue. Far events sit
 ///    in intrusive bucket chains (a `next` index threaded through the
-///    slab, one O(1) pointer splice per event); when a time window opens,
-///    its chain is moved into a small binary heap ("near") that serves
-///    dispatch, so the heap stays cache-resident instead of growing to the
-///    full pending population.
+///    slots, one O(1) splice per event); when a time window opens, its
+///    chain is moved into a small binary heap ("near") that serves
+///    dispatch. Until more than 2,048 timed events are pending at once the
+///    calendar is never built and the near heap serves every timed event.
+///    The heap orders (t, seq) as one 128-bit key — times are never below
+///    +0, so their IEEE bits order like their values — and pops bottom-up:
+///    the hole walks to a leaf with one branchless compare per level, then
+///    the last entry sifts up.
 ///  - Zero-delay events (`schedule_now`, or any schedule that lands exactly
 ///    at `now()`) take a FIFO ring fast-path that bypasses the calendar
 ///    entirely; cross-queue ordering is preserved by comparing sequence
@@ -39,8 +51,6 @@ namespace lifl::sim {
 ///    surfaces, never transiting the dispatch heap.
 class Simulator {
  public:
-  using Callback = Task;
-
   Simulator() = default;
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
@@ -48,37 +58,47 @@ class Simulator {
   /// Current simulated time (seconds).
   SimTime now() const noexcept { return now_; }
 
-  /// Schedule `cb` at absolute time `t` (clamped to `now()` if in the past).
-  EventId schedule_at(SimTime t, Callback cb) {
-    return schedule_impl(t, std::move(cb), /*daemon=*/false);
+  /// Schedule callable `f` at absolute time `t` (clamped to `now()` if in
+  /// the past). Throws `std::invalid_argument` if `t` is NaN.
+  template <typename F>
+  EventId schedule_at(SimTime t, F&& f) {
+    return schedule_impl(t, std::forward<F>(f), /*daemon=*/false);
   }
 
-  /// Schedule `cb` after a relative delay `dt >= 0`.
-  EventId schedule_after(SimTime dt, Callback cb) {
-    return schedule_at(now_ + (dt > 0 ? dt : 0), std::move(cb));
+  /// Schedule `f` after a relative delay `dt >= 0`.
+  template <typename F>
+  EventId schedule_after(SimTime dt, F&& f) {
+    return schedule_impl(now_ + (dt > 0 ? dt : 0), std::forward<F>(f),
+                         /*daemon=*/false);
   }
 
-  /// Schedule `cb` at the current instant, after all events already
-  /// scheduled for this instant (same semantics as `schedule_after(0, cb)`
+  /// Schedule `f` at the current instant, after all events already
+  /// scheduled for this instant (same semantics as `schedule_after(0, f)`
   /// but guaranteed to take the heap-free fast path).
-  EventId schedule_now(Callback cb) {
-    return schedule_impl(now_, std::move(cb), /*daemon=*/false);
+  template <typename F>
+  EventId schedule_now(F&& f) {
+    return schedule_impl(now_, std::forward<F>(f), /*daemon=*/false);
   }
 
   /// Schedule a daemon event: runs like a normal event but does not keep
-  /// `run()` going once all regular events have drained.
-  EventId schedule_daemon_at(SimTime t, Callback cb) {
-    return schedule_impl(t, std::move(cb), /*daemon=*/true);
+  /// `run()` going once all regular events have drained. Throws
+  /// `std::invalid_argument` if `t` is NaN.
+  template <typename F>
+  EventId schedule_daemon_at(SimTime t, F&& f) {
+    return schedule_impl(t, std::forward<F>(f), /*daemon=*/true);
   }
 
   /// Daemon variant of `schedule_after`.
-  EventId schedule_daemon_after(SimTime dt, Callback cb) {
-    return schedule_daemon_at(now_ + (dt > 0 ? dt : 0), std::move(cb));
+  template <typename F>
+  EventId schedule_daemon_after(SimTime dt, F&& f) {
+    return schedule_impl(now_ + (dt > 0 ? dt : 0), std::forward<F>(f),
+                         /*daemon=*/true);
   }
 
   /// Daemon variant of `schedule_now`.
-  EventId schedule_daemon_now(Callback cb) {
-    return schedule_impl(now_, std::move(cb), /*daemon=*/true);
+  template <typename F>
+  EventId schedule_daemon_now(F&& f) {
+    return schedule_impl(now_, std::forward<F>(f), /*daemon=*/true);
   }
 
   /// Cancel a pending event. Returns false if it already ran or was cancelled.
@@ -129,19 +149,23 @@ class Simulator {
 
  private:
   static constexpr std::uint32_t kNil = 0xffffffffu;
+  static constexpr std::uint32_t kChunkShift = 10;
+  static constexpr std::uint32_t kChunkSlots = 1u << kChunkShift;
 
   /// One event record. A slot is owned by exactly one queue entry (bucket
   /// chain link, near-heap handle, or ring handle) from schedule until that
   /// entry surfaces, so cancellation only tombstones it here and the
-  /// surfacing code recycles it. Exactly one cache line: the chain link is
+  /// surfacing code recycles it; a dispatched slot is recycled once its
+  /// callback has returned. Exactly one cache line: the chain link is
   /// written while the line is already open for the callback store, so
   /// scheduling into a bucket costs no extra fill.
   struct alignas(64) Slot {
-    Callback cb;
+    Task cb;
     SimTime t = 0.0;
     std::uint64_t seq = 0;
     std::uint32_t next = kNil;  ///< intrusive bucket-chain link
-    std::uint32_t gen = 0;      ///< stale-EventId guard; bumped on recycle
+    std::uint32_t gen = 0;      ///< stale-EventId guard; bumped on dispatch
+                                ///< and on tombstone recycle
     bool daemon = false;
     bool timed = false;      ///< calendar/near (vs ring)
     bool tombstone = false;  ///< cancelled; recycle on surface
@@ -152,23 +176,55 @@ class Simulator {
     std::uint64_t seq;
     std::uint32_t slot;
   };
+  using Key = unsigned __int128;
+  /// (t, seq) as one integer. Heap times are always > +0 (a timed event is
+  /// strictly later than a clock that starts at +0 and never runs
+  /// backwards) and never NaN, so their IEEE bits order like their values.
+  static Key key(const TimedEntry& e) noexcept {
+    std::uint64_t bits;
+    std::memcpy(&bits, &e.t, sizeof bits);
+    return (static_cast<Key>(bits) << 64) | e.seq;
+  }
 
-  EventId schedule_impl(SimTime t, Callback cb, bool daemon);
+  Slot& slot_at(std::uint32_t i) noexcept {
+    return chunks_[i >> kChunkShift][i & (kChunkSlots - 1)];
+  }
+  const Slot& slot_at(std::uint32_t i) const noexcept {
+    return chunks_[i >> kChunkShift][i & (kChunkSlots - 1)];
+  }
+
+  template <typename F>
+  EventId schedule_impl(SimTime t, F&& f, bool daemon) {
+    if (!(t >= now_)) t = clamp_time(t);
+    if (free_.empty()) grow();
+    const std::uint32_t slot = free_.back();
+    free_.pop_back();
+    try {
+      slot_at(slot).cb.emplace(std::forward<F>(f));
+    } catch (...) {
+      free_.push_back(slot);  // within capacity: the pop above made room
+      throw;
+    }
+    return enqueue(slot, t, daemon);
+  }
+  /// `now()` for a past `t`; throws `std::invalid_argument` for NaN.
+  SimTime clamp_time(SimTime t) const;
+  /// Add a chunk of slots to the free list.
+  void grow();
+  /// Queue a slot whose callback is already built.
+  EventId enqueue(std::uint32_t slot, SimTime t, bool daemon);
   /// Dispatch the earliest event. `bounded` restricts dispatch to events at
   /// or below `limit`; `strict` tightens that to strictly below.
   bool dispatch_next(SimTime limit, bool bounded, bool strict = false);
 
-  std::uint32_t alloc_slot(Callback cb, bool daemon);
+  /// Recycle a tombstoned slot (its callback is already destroyed).
   void free_slot(std::uint32_t slot) {
-    ++slots_[slot].gen;
-    slots_[slot].tombstone = false;
+    Slot& s = slot_at(slot);
+    ++s.gen;
+    s.tombstone = false;
     free_.push_back(slot);
   }
 
-  static bool entry_later(const TimedEntry& a, const TimedEntry& b) noexcept {
-    if (a.t != b.t) return a.t > b.t;
-    return a.seq > b.seq;  // FIFO among equal timestamps
-  }
   void near_push(TimedEntry e);
   void near_pop();
 
@@ -202,7 +258,8 @@ class Simulator {
   std::size_t regular_pending_ = 0;
   std::size_t timed_live_ = 0;  ///< live events in near heap + calendar
 
-  std::vector<Slot> slots_;
+  // Slot storage: fixed chunks, never moved once allocated.
+  std::vector<std::unique_ptr<Slot[]>> chunks_;
   std::vector<std::uint32_t> free_;
 
   // Near stage: binary min-heap on (t, seq) for events with t < win_end_.

@@ -17,14 +17,22 @@ namespace lifl::sim {
 template <typename T>
 class Slab {
  public:
-  /// Store `v` and return its slot.
-  std::uint32_t park(T v) {
+  /// Take a slot for the caller to fill in place through `operator[]`. The
+  /// item is whatever the slot's last user left behind (moved-from or
+  /// default-constructed), so the caller overwrites every field it reads.
+  std::uint32_t claim() {
     if (free_.empty()) {
-      items_.push_back(std::move(v));
+      items_.emplace_back();
       return static_cast<std::uint32_t>(items_.size() - 1);
     }
     const std::uint32_t slot = free_.back();
     free_.pop_back();
+    return slot;
+  }
+
+  /// Store `v` and return its slot.
+  std::uint32_t park(T v) {
+    const std::uint32_t slot = claim();
     items_[slot] = std::move(v);
     return slot;
   }

@@ -28,16 +28,7 @@ class TaskFn {
                 !std::is_same_v<std::decay_t<F>, TaskFn> &&
                 std::is_invocable_r_v<void, std::decay_t<F>&, Args...>>>
   TaskFn(F&& f) {  // NOLINT(google-explicit-constructor)
-    using Fn = std::decay_t<F>;
-    if constexpr (sizeof(Fn) <= kInlineBytes &&
-                  alignof(Fn) <= alignof(std::max_align_t) &&
-                  std::is_nothrow_move_constructible_v<Fn>) {
-      ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(f));
-      vt_ = inline_vtable<Fn>();
-    } else {
-      *reinterpret_cast<Fn**>(buf_) = new Fn(std::forward<F>(f));
-      vt_ = heap_vtable<Fn>();
-    }
+    construct(std::forward<F>(f));
   }
 
   TaskFn(TaskFn&& other) noexcept { move_from(other); }
@@ -57,6 +48,26 @@ class TaskFn {
   TaskFn& operator=(const TaskFn&) = delete;
 
   ~TaskFn() { reset(); }
+
+  /// Replace the held callable with `f`, built directly in this object's
+  /// storage — the construct-once path the event core schedules through, so
+  /// a capture is never built on the stack and then relocated. A `TaskFn`
+  /// argument (which must be an rvalue) is moved in, not wrapped. If
+  /// building `f` throws, this object is left empty.
+  template <typename F>
+  void emplace(F&& f) {
+    using Fn = std::decay_t<F>;
+    reset();
+    if constexpr (std::is_same_v<Fn, TaskFn>) {
+      static_assert(!std::is_lvalue_reference_v<F>,
+                    "TaskFn is move-only: pass it as an rvalue");
+      move_from(f);
+    } else {
+      static_assert(std::is_invocable_r_v<void, Fn&, Args...>,
+                    "callable does not match the TaskFn signature");
+      construct(std::forward<F>(f));
+    }
+  }
 
   explicit operator bool() const noexcept { return vt_ != nullptr; }
 
@@ -100,6 +111,20 @@ class TaskFn {
         },
         [](void* p) { delete *reinterpret_cast<Fn**>(p); }};
     return &vt;
+  }
+
+  template <typename F>
+  void construct(F&& f) {
+    using Fn = std::decay_t<F>;
+    if constexpr (sizeof(Fn) <= kInlineBytes &&
+                  alignof(Fn) <= alignof(std::max_align_t) &&
+                  std::is_nothrow_move_constructible_v<Fn>) {
+      ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(f));
+      vt_ = inline_vtable<Fn>();
+    } else {
+      *reinterpret_cast<Fn**>(buf_) = new Fn(std::forward<F>(f));
+      vt_ = heap_vtable<Fn>();
+    }
   }
 
   void move_from(TaskFn& other) noexcept {

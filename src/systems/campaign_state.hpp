@@ -3,6 +3,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -13,6 +14,7 @@
 #include "src/dataplane/resumable_upload.hpp"
 #include "src/fl/aggregator_runtime.hpp"
 #include "src/fl/checkpoint.hpp"
+#include "src/sim/block_pool.hpp"
 #include "src/sim/node.hpp"
 #include "src/sim/random.hpp"
 #include "src/sim/sharded_simulator.hpp"
@@ -22,6 +24,14 @@
 #include "src/workload/population.hpp"
 
 namespace lifl::sys::detail {
+
+/// Per-client session counts keyed by population index. Map nodes come from
+/// the thread's `sim::BlockPool`, so sessions starting and finishing recycle
+/// nodes instead of reaching the global allocator.
+using SessionCounts = std::unordered_map<
+    std::uint64_t, std::uint32_t, std::hash<std::uint64_t>,
+    std::equal_to<std::uint64_t>,
+    sim::PooledAllocator<std::pair<const std::uint64_t, std::uint32_t>>>;
 
 /// One node group of the sharded mega-campaign: a single-node cluster with
 /// its own LIFL data plane, arrival process and population slice. All
@@ -96,8 +106,8 @@ struct Group {
   /// offline queue at pick time) and currently parked (offline) sessions
   /// per index. Transient event-driven state: empty at every quiescent
   /// round boundary, so never serialized.
-  std::unordered_map<std::uint64_t, std::uint32_t> live_sessions;
-  std::unordered_map<std::uint64_t, std::uint32_t> parked;
+  SessionCounts live_sessions;
+  SessionCounts parked;
 };
 
 /// Whole-campaign runtime state, owned by `run_sharded_campaign` for the

@@ -193,11 +193,14 @@ void launch_session(CampaignState* st, Group* g, fl::ModelUpdate u,
   rc.rate_scale = wl::tier_traits(profile.tier).disconnect_scale;
   rc.counters = &g->lifecycle;
   rc.obs = g->obs;
-  rc.on_complete = [g, idx, ti, selected_at](double, std::uint32_t) {
-    ++g->tier_completed[ti];
+  // 24 bytes, so the hook stays Task-inline: the tier is re-derived from
+  // the index rather than captured.
+  rc.on_complete = [g, idx, selected_at](double, std::uint32_t) {
+    const wl::DeviceTier tier = g->population.tier_of(idx);
+    ++g->tier_completed[static_cast<std::size_t>(tier)];
     if (g->strategy) {
-      g->strategy->report(static_cast<wl::DeviceTier>(ti),
-                          g->sim->now() - selected_at, /*success=*/true);
+      g->strategy->report(tier, g->sim->now() - selected_at,
+                          /*success=*/true);
     }
     auto it = g->live_sessions.find(idx);
     if (it != g->live_sessions.end() && --it->second == 0) {

@@ -3,6 +3,9 @@
 // campaign.
 
 #include <gtest/gtest.h>
+#ifdef __linux__
+#include <sched.h>
+#endif
 
 #include <algorithm>
 #include <cmath>
@@ -13,6 +16,7 @@
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -288,10 +292,12 @@ struct ChurnDelivery {
 /// only by its owning shard's thread, in that shard's deterministic
 /// execution order. With `promises`, each shard promises the earliest
 /// delivery its groups have not yet posted (the suffix minimum of their
-/// schedules — honest, so the run must not throw).
+/// schedules — honest, so the run must not throw). With `threads`, each
+/// group's set collects the ids of the threads that ran its steps.
 std::vector<std::vector<ChurnDelivery>> churn_run(
     const std::vector<std::vector<ChurnStep>>& plans, std::size_t shards,
-    bool promises, std::uint64_t* dispatched, std::uint64_t* skipped) {
+    bool promises, std::uint64_t* dispatched, std::uint64_t* skipped,
+    std::vector<std::set<std::thread::id>>* threads = nullptr) {
   ShardedSimulator::Config cfg;
   cfg.shards = shards;
   cfg.lookahead = kChurnLookahead;
@@ -315,8 +321,11 @@ std::vector<std::vector<ChurnDelivery>> churn_run(
     for (std::size_t i = 0; i < plans[g].size(); ++i) {
       const ChurnStep& st = plans[g][i];
       sharded.shard(s).schedule_at(st.at, [&sharded, &logs, &st, &shard_of,
-                                           &cursor, s, g, i] {
+                                           &cursor, threads, s, g, i] {
         cursor[g] = i + 1;
+        if (threads != nullptr) {
+          (*threads)[g].insert(std::this_thread::get_id());
+        }
         if (st.dst >= 0) {
           const std::size_t dg = static_cast<std::size_t>(st.dst);
           const int id = static_cast<int>(g * 10000 + i);
@@ -387,6 +396,49 @@ TEST(ShardedSim, AdversarialChurnMatchesOneShardOracleWithAndWithoutPromises) {
     // The idle troughs really were widened across.
     EXPECT_GT(skipped, 0u) << "K=" << shards;
   }
+}
+
+TEST(ShardedSim, ShardsClaimedOffTheirHomeThreadGiveIdenticalResults) {
+#ifdef __linux__
+  // Pin the run to one CPU (worker threads inherit the caller's mask): a
+  // worker then rarely gets the CPU before the coordinator has finished
+  // shard 0, so the coordinator claims the other shards' windows itself.
+  // Which thread ran a window must not show in the results.
+  cpu_set_t original;
+  ASSERT_EQ(sched_getaffinity(0, sizeof original, &original), 0);
+  const int cpu = sched_getcpu();
+  ASSERT_GE(cpu, 0);
+  const auto plans = churn_plans();
+  std::uint64_t oracle_events = 0;
+  const auto oracle =
+      churn_run(plans, 1, /*promises=*/false, &oracle_events, nullptr);
+
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+  if (sched_setaffinity(0, sizeof one, &one) != 0) {
+    GTEST_SKIP() << "cannot set this thread's CPU affinity";
+  }
+  constexpr std::size_t kShards = 4;
+  std::vector<std::set<std::thread::id>> threads(kChurnGroups);
+  std::uint64_t events = 0;
+  const auto got = churn_run(plans, kShards, /*promises=*/true, &events,
+                             nullptr, &threads);
+  ASSERT_EQ(sched_setaffinity(0, sizeof original, &original), 0);
+
+  EXPECT_EQ(events, oracle_events);
+  EXPECT_TRUE(got == oracle);
+  // The coordinator (this thread) ran some other shard's window.
+  std::size_t claimed_off_home = 0;
+  for (std::size_t g = 0; g < kChurnGroups; ++g) {
+    if (g % kShards != 0 && threads[g].count(std::this_thread::get_id())) {
+      ++claimed_off_home;
+    }
+  }
+  EXPECT_GT(claimed_off_home, 0u);
+#else
+  GTEST_SKIP() << "needs Linux CPU affinity";
+#endif
 }
 
 // ---------------------------------------------------------------------------

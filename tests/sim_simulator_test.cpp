@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <memory>
+#include <set>
+#include <stdexcept>
+#include <tuple>
 #include <vector>
 
 #include "src/sim/simulator.hpp"
@@ -380,6 +386,213 @@ TEST(Simulator, LargeChurnDispatchOrderIsStableSort) {
     }
   }
 }
+
+TEST(Simulator, NaNEventTimeIsRejected) {
+  // The dispatch heap compares times by their IEEE bits; a NaN would sort
+  // after +inf and silently break the order, so it is refused up front.
+  Simulator sim;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(sim.schedule_at(nan, [] {}), std::invalid_argument);
+  EXPECT_THROW(sim.schedule_daemon_at(nan, [] {}), std::invalid_argument);
+  EXPECT_THROW(sim.restore_clock(nan, 0), std::invalid_argument);
+  EXPECT_EQ(sim.pending(), 0u);
+  // Nothing leaked: the core still schedules and orders normally.
+  std::vector<int> order;
+  sim.schedule_at(2.0, [&] { order.push_back(2); });
+  sim.schedule_at(1.0, [&] { order.push_back(1); });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+}
+
+TEST(Simulator, InfiniteTimeSortsLast) {
+  Simulator sim;
+  std::vector<int> order;
+  sim.schedule_at(std::numeric_limits<double>::infinity(),
+                  [&] { order.push_back(2); });
+  sim.schedule_at(1e300, [&] { order.push_back(1); });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+}
+
+TEST(Simulator, CallbackGrowsStorageAcrossChunkBoundaryUnderItself) {
+  // A running callback schedules well past one 1,024-slot chunk, then
+  // reads its own capture. The capture (24 bytes) sits inline in the slot
+  // and slots run in place, so storage that moved would leave it dangling
+  // (a use-after-free under ASan).
+  Simulator sim;
+  std::vector<int> fired;
+  constexpr int kChildren = 3000;
+  sim.schedule_at(1.0, [&sim, &fired, tag = 7] {
+    for (int i = 0; i < kChildren; ++i) {
+      sim.schedule_at(100.0 + i % 5, [&fired, i] { fired.push_back(i); });
+    }
+    for (int i = 0; i < kChildren; ++i) {
+      sim.schedule_now([&fired] { fired.push_back(-1); });
+    }
+    fired.push_back(tag);
+  });
+  sim.run();
+  ASSERT_EQ(fired.size(), 2u * kChildren + 1);
+  EXPECT_EQ(fired[0], 7);
+  for (int i = 1; i <= kChildren; ++i) EXPECT_EQ(fired[i], -1);
+  // Timed children: by time, FIFO within each of the five instants.
+  std::vector<int> expect;
+  for (int r = 0; r < 5; ++r) {
+    for (int i = r; i < kChildren; i += 5) expect.push_back(i);
+  }
+  EXPECT_EQ(std::vector<int>(fired.begin() + kChildren + 1, fired.end()),
+            expect);
+}
+
+TEST(Simulator, RunningEventCannotCancelItself) {
+  Simulator sim;
+  EventId timed = 0;
+  EventId ring = 0;
+  int ran = 0;
+  timed = sim.schedule_at(1.0, [&] {
+    EXPECT_FALSE(sim.cancel(timed));
+    ++ran;
+    ring = sim.schedule_now([&] {
+      EXPECT_FALSE(sim.cancel(ring));
+      ++ran;
+    });
+  });
+  sim.run();
+  EXPECT_EQ(ran, 2);
+  EXPECT_EQ(sim.pending(), 0u);
+}
+
+TEST(Simulator, CaptureIsReleasedRightAfterDispatchAndAtCancel) {
+  Simulator sim;
+  auto a = std::make_shared<int>(1);
+  auto b = std::make_shared<int>(2);
+  const std::weak_ptr<int> wa = a;
+  const std::weak_ptr<int> wb = b;
+  bool alive_while_running = false;
+  sim.schedule_at(1.0, [a = std::move(a), &wa, &alive_while_running] {
+    alive_while_running = !wa.expired();
+  });
+  const EventId id = sim.schedule_at(2.0, [b = std::move(b)] {});
+  sim.schedule_at(3.0, [] {});
+  EXPECT_FALSE(wa.expired());
+  EXPECT_FALSE(wb.expired());
+  ASSERT_TRUE(sim.step());
+  EXPECT_TRUE(alive_while_running);
+  EXPECT_TRUE(wa.expired());  // released as soon as its event returned
+  EXPECT_FALSE(wb.expired());
+  EXPECT_TRUE(sim.cancel(id));
+  EXPECT_TRUE(wb.expired());  // released by cancel, not when it surfaces
+  sim.run();
+}
+
+TEST(Simulator, ThrowingCallbackReleasesItsSlot) {
+  Simulator sim;
+  auto p = std::make_shared<int>(1);
+  const std::weak_ptr<int> w = p;
+  sim.schedule_at(1.0, [p = std::move(p)] { throw std::runtime_error("x"); });
+  EXPECT_THROW(sim.run(), std::runtime_error);
+  EXPECT_TRUE(w.expired());
+  EXPECT_EQ(sim.pending(), 0u);
+  EXPECT_EQ(sim.dispatched(), 1u);
+  bool ran = false;
+  sim.schedule_after(1.0, [&] { ran = true; });
+  sim.run();
+  EXPECT_TRUE(ran);
+}
+
+// Differential test: the core against a reference ordered set on
+// (t, seq). Events dispatch, schedule (timed, same-instant, past times
+// clamped to now, equal timestamps) and cancel at random from inside their
+// callbacks; every dispatch must be the reference's minimum and every
+// cancel must agree with the reference's pending set. The initial batch is
+// sized below the calendar's 2,048-event build threshold (heap only) and
+// above it (calendar built).
+class SimulatorDifferential : public ::testing::TestWithParam<int> {};
+
+TEST_P(SimulatorDifferential, MatchesReferenceStableSort) {
+  struct Model {
+    Simulator sim;
+    std::uint64_t x = 0;
+    std::uint64_t seq = 0;
+    std::set<std::tuple<double, std::uint64_t, int>> pending;
+    std::vector<std::tuple<double, std::uint64_t, EventId>> events;
+    std::uint64_t dispatched = 0;
+    int budget = 0;
+
+    std::uint64_t next() {
+      x = x * 6364136223846793005ull + 1442695040888963407ull;
+      return x >> 17;
+    }
+    void schedule(double t, bool now_call) {
+      const int id = static_cast<int>(events.size());
+      const double at = t < sim.now() ? sim.now() : t;
+      const EventId eid = now_call ? sim.schedule_now(Fire{this, id})
+                                   : sim.schedule_at(t, Fire{this, id});
+      events.emplace_back(now_call ? sim.now() : at, seq, eid);
+      pending.emplace(std::get<0>(events.back()), seq++, id);
+    }
+    void cancel(int id) {
+      const auto& [t, s, eid] = events[static_cast<std::size_t>(id)];
+      const bool live = pending.erase({t, s, id}) == 1;
+      EXPECT_EQ(sim.cancel(eid), live) << "event " << id;
+    }
+    struct Fire {
+      Model* m;
+      int id;
+      void operator()() const { m->fire(id); }
+    };
+    void fire(int id) {
+      ASSERT_FALSE(pending.empty());
+      const auto front = *pending.begin();
+      ASSERT_EQ(std::get<2>(front), id) << "dispatch " << dispatched;
+      EXPECT_EQ(sim.now(), std::get<0>(front));
+      pending.erase(pending.begin());
+      ++dispatched;
+      if (budget <= 0) return;
+      const int actions = static_cast<int>(next() % 4);
+      for (int a = 0; a < actions && budget > 0; ++a, --budget) {
+        switch (next() % 5) {
+          case 0:
+            schedule(0.0, /*now_call=*/true);
+            break;
+          case 1:  // equal timestamps: a coarse grid ahead of now
+            schedule(sim.now() + static_cast<double>(next() % 8) * 0.5,
+                     false);
+            break;
+          case 2:  // in the past: clamps to now
+            schedule(sim.now() - 1.0, false);
+            break;
+          case 3:
+            schedule(sim.now() + static_cast<double>(next() % 1000) * 1e-3,
+                     false);
+            break;
+          default:
+            cancel(static_cast<int>(next() % events.size()));
+            break;
+        }
+      }
+    }
+  };
+
+  const int initial = GetParam();
+  auto m = std::make_unique<Model>();
+  m->x = 0x5EED0000u + static_cast<std::uint64_t>(initial);
+  m->budget = 4 * initial;
+  for (int i = 0; i < initial; ++i) {
+    m->schedule(static_cast<double>(m->next() % 256) * 0.25, false);
+  }
+  for (int i = 0; i < initial / 8; ++i) {
+    m->cancel(static_cast<int>(m->next() % m->events.size()));
+  }
+  m->sim.run();
+  EXPECT_TRUE(m->pending.empty());
+  EXPECT_EQ(m->sim.pending(), 0u);
+  EXPECT_EQ(m->sim.dispatched(), m->dispatched);
+  EXPECT_GT(m->dispatched, static_cast<std::uint64_t>(initial) / 2);
+}
+
+INSTANTIATE_TEST_SUITE_P(HeapOnlyAndCalendar, SimulatorDifferential,
+                         ::testing::Values(1500, 6000));
 
 }  // namespace
 }  // namespace lifl::sim

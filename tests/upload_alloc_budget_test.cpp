@@ -1,7 +1,8 @@
 // Steady-state allocation budget of the upload path: once the data plane's
 // slabs, queues and pools have warmed up, a client upload (gateway ingest,
 // shm lease, node-pool hand-off, leaf fold), a resumable-upload chunk, and a
-// brokered send or consume make (almost) no heap allocations.
+// brokered send or consume make (almost) no heap allocations; a whole
+// resumable session with disconnects stays within a looser budget.
 //
 // The counting `operator new` below replaces the global one for this test
 // binary only; the library itself never replaces the allocator.
@@ -14,9 +15,12 @@
 #include <new>
 
 #include "src/dataplane/dataplane.hpp"
+#include "src/dataplane/resumable_upload.hpp"
 #include "src/fl/aggregator_runtime.hpp"
 #include "src/sim/node.hpp"
 #include "src/sim/simulator.hpp"
+#include "src/systems/campaign_state.hpp"
+#include "src/workload/lifecycle.hpp"
 
 namespace {
 
@@ -67,6 +71,7 @@ struct Stream {
   std::uint64_t done = 0;
   const fl::AggregatorRuntime* leaf = nullptr;
   void (*launch)(Stream&, std::uint64_t i) = nullptr;
+  void* ctx = nullptr;  ///< per-test state for `launch`
 
   std::uint64_t completed() const {
     return leaf != nullptr ? leaf->aggregated() : done;
@@ -164,6 +169,62 @@ TEST(UploadAllocBudget, BrokeredConsume) {
   leaf.start();
   EXPECT_LE(s.allocs_per_item(), kBudget);
   EXPECT_TRUE(leaf.done());
+}
+
+TEST(UploadAllocBudget, ResumableSessionIntoPullingLeaf) {
+  // The churn campaign's session shape: 4-chunk resumable uploads with
+  // mid-upload disconnects and capped offline backoff, hooks capturing
+  // what the campaign's do, and the campaign's pooled per-client session
+  // counts. Session records, hooks and map nodes all recycle, so a whole
+  // session stays well under one allocation.
+  struct Sessions {
+    const sim::Simulator* sim;
+    wl::LifecyclePlan plan;
+    dp::ResumableUpload::Counters counters;
+    sys::detail::SessionCounts live;
+    sys::detail::SessionCounts parked;
+    double selected_to_done_secs = 0.0;
+  };
+  wl::LifecyclePlan::Config pc;
+  pc.disconnect_rate = 0.2;
+  pc.offline_base_secs = 0.05;
+  pc.offline_cap_secs = 1.0;
+
+  Stream s(1, dp::lifl_plane());
+  Sessions ss{&s.sim, wl::LifecyclePlan(pc), {}, {}, {}, 0.0};
+  s.ctx = &ss;
+  s.launch = [](Stream& st, std::uint64_t i) {
+    auto* ss = static_cast<Sessions*>(st.ctx);
+    const std::uint64_t idx = i % 1000;
+    const double selected_at = st.sim.now();
+    ++ss->live[idx];
+    dp::ResumableUpload::Config rc;
+    rc.uplink_bytes_per_sec = 2e6;
+    rc.plan = &ss->plan;
+    rc.seq = i;
+    rc.counters = &ss->counters;
+    rc.on_complete = [ss, idx, selected_at](double, std::uint32_t) {
+      ss->selected_to_done_secs += ss->sim->now() - selected_at;
+      auto it = ss->live.find(idx);
+      if (--it->second == 0) ss->live.erase(it);
+    };
+    rc.on_disconnect = [ss, idx] { ++ss->parked[idx]; };
+    rc.on_resume = [ss, idx] {
+      auto it = ss->parked.find(idx);
+      if (--it->second == 0) ss->parked.erase(it);
+    };
+    dp::ResumableUpload::launch(st.plane, update(i), std::move(rc));
+  };
+  fl::AggregatorRuntime leaf(s.plane, pulling_leaf());
+  s.leaf = &leaf;
+  leaf.start();
+  EXPECT_LE(s.allocs_per_item(), 0.5);
+  EXPECT_TRUE(leaf.done());
+  EXPECT_GT(ss.counters.disconnects, kMeasured / 10);  // the path ran
+  EXPECT_EQ(ss.counters.completed, kWarmup + kMeasured);
+  EXPECT_GT(ss.selected_to_done_secs, 0.0);
+  EXPECT_TRUE(ss.live.empty());
+  EXPECT_TRUE(ss.parked.empty());
 }
 
 }  // namespace
