@@ -70,6 +70,13 @@ struct Sample {
   std::vector<std::uint64_t> shard_empty_windows;
   std::vector<double> shard_idle_secs;
   double events_per_sec() const { return events / wall_secs; }
+  /// Barrier windows per cross-shard post: how closely the promises end
+  /// each window at a post (0 at one shard, which runs no barrier).
+  double windows_per_post() const {
+    return cross_posts > 0 ? static_cast<double>(windows) /
+                                 static_cast<double>(cross_posts)
+                           : 0.0;
+  }
 };
 
 Sample run_once(std::size_t shards, std::size_t scale) {
@@ -129,14 +136,14 @@ int main(int argc, char** argv) {
 
   const double base = samples[0].events_per_sec();
   sys::Table t({"shards", "events", "wall(s)", "events/s", "speedup",
-                "windows", "skipped", "cross_posts"});
+                "windows", "skipped", "cross_posts", "win/post"});
   for (const auto& s : samples) {
     t.row({std::to_string(s.shards), std::to_string(s.events),
            sys::fmt(s.wall_secs, 3),
            sys::fmt(s.events_per_sec() / 1e6, 2) + "M",
            sys::fmt(s.events_per_sec() / base, 2) + "x",
            std::to_string(s.windows), std::to_string(s.windows_skipped),
-           std::to_string(s.cross_posts)});
+           std::to_string(s.cross_posts), sys::fmt(s.windows_per_post(), 2)});
   }
   t.print("Sharded simulator core: aggregate throughput vs shard count");
 
@@ -157,13 +164,15 @@ int main(int argc, char** argv) {
                    "\"wall_secs\": %.6f, \"events_per_sec\": %.0f, "
                    "\"speedup\": %.3f, \"windows\": %llu, "
                    "\"windows_skipped\": %llu, "
-                   "\"cross_posts\": %llu,\n     \"per_shard\": [",
+                   "\"cross_posts\": %llu, \"windows_per_post\": %.3f,"
+                   "\n     \"per_shard\": [",
                    s.shards, static_cast<unsigned long long>(s.events),
                    s.wall_secs, s.events_per_sec(),
                    s.events_per_sec() / base,
                    static_cast<unsigned long long>(s.windows),
                    static_cast<unsigned long long>(s.windows_skipped),
-                   static_cast<unsigned long long>(s.cross_posts));
+                   static_cast<unsigned long long>(s.cross_posts),
+                   s.windows_per_post());
       for (std::size_t p = 0; p < s.shard_windows.size(); ++p) {
         std::fprintf(
             out,

@@ -75,6 +75,28 @@ double DataPlane::recv_cycles(const fl::ModelUpdate& update) const noexcept {
   return cycles;
 }
 
+namespace {
+double service_secs(const StepList& steps) {
+  double secs = 0.0;
+  for (std::size_t i = 0; i < steps.size(); ++i) secs += steps[i].seconds;
+  return secs;
+}
+}  // namespace
+
+double DataPlane::min_upload_secs(sim::NodeId node, std::size_t bytes,
+                                  double uplink_bytes_per_sec) {
+  StepList steps;
+  upload_steps(steps, cluster_.node(node), bytes, /*flow=*/0,
+               uplink_bytes_per_sec);
+  return service_secs(steps);
+}
+
+double DataPlane::min_send_secs(sim::NodeId node, std::size_t bytes) {
+  StepList steps;
+  intra_node_steps(steps, cluster_.node(node), bytes);
+  return service_secs(steps);
+}
+
 void DataPlane::attach_shm_lease(sim::NodeId node, fl::ModelUpdate& update) {
   auto& store = env(node).store;
   shm::ObjectKey key;

@@ -120,6 +120,17 @@ class DataPlane {
   /// terminated the upload). Paid by the runtime, which is single-threaded.
   double recv_cycles(const fl::ModelUpdate& update) const noexcept;
 
+  /// Unqueued latency of a `bytes` client upload into `node` at
+  /// `uplink_bytes_per_sec`, from launch to the pool deposit: the sum of
+  /// its pipeline's service times. No upload can be faster — queueing
+  /// only adds — and a chunked session pays at least as much (its chunks
+  /// run the same pipeline back to back, each with its own fixed costs).
+  double min_upload_secs(sim::NodeId node, std::size_t bytes,
+                         double uplink_bytes_per_sec);
+  /// Unqueued latency of a `bytes` `send` between two aggregators on
+  /// `node`, up to the delivery into the destination runtime's queue.
+  double min_send_secs(sim::NodeId node, std::size_t bytes);
+
   /// A consumer on `node` takes one queued update out of the node's pending
   /// pool; `ready` receives the update when the payload is at the consumer.
   /// On the LIFL plane this is free — the update already sits in shared

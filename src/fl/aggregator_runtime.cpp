@@ -11,6 +11,14 @@ namespace lifl::fl {
 namespace calib = sim::calib;
 using sim::CostTag;
 
+namespace {
+/// Agg-step cycles for folding one `bytes` update.
+double agg_cycles(std::size_t bytes) {
+  return calib::kAggregateCyclesPerByte * static_cast<double>(bytes) +
+         calib::kAggregateFixedCycles;
+}
+}  // namespace
+
 std::string to_string(AggRole role) {
   switch (role) {
     case AggRole::kLeaf: return "leaf";
@@ -18,6 +26,14 @@ std::string to_string(AggRole role) {
     case AggRole::kTop: return "top";
   }
   return "unknown";
+}
+
+double AggregatorRuntime::min_fold_secs(dp::DataPlane& plane,
+                                        sim::NodeId node, std::size_t bytes) {
+  ModelUpdate u;
+  u.logical_bytes = bytes;
+  return (plane.recv_cycles(u) + agg_cycles(bytes)) /
+         plane.cluster().node(node).config().cpu_hz;
 }
 
 AggregatorRuntime::AggregatorRuntime(dp::DataPlane& plane, Config cfg)
@@ -335,9 +351,7 @@ void AggregatorRuntime::on_recv_done() {
   busy_secs_ += step_secs_;
 
   // ---- Agg step: fold into the cumulative weighted average.
-  step_cycles_ = calib::kAggregateCyclesPerByte *
-                     static_cast<double>(in_flight_->logical_bytes) +
-                 calib::kAggregateFixedCycles;
+  step_cycles_ = agg_cycles(in_flight_->logical_bytes);
   step_secs_ = step_cycles_ / node.config().cpu_hz;
   node.cores().acquire(step_secs_, AggDone{ctx_});
 }

@@ -151,6 +151,13 @@ class AggregatorRuntime {
   AggregatorRuntime(const AggregatorRuntime&) = delete;
   AggregatorRuntime& operator=(const AggregatorRuntime&) = delete;
 
+  /// Unqueued Recv + Agg service time of one `bytes` update at a runtime
+  /// on `node`: no fold of such an update completes sooner after its
+  /// delivery (the runtime is single-threaded, so k queued folds take at
+  /// least k times this).
+  static double min_fold_secs(dp::DataPlane& plane, sim::NodeId node,
+                              std::size_t bytes);
+
   /// Register routes and begin operating (subject to cold start).
   void start();
 

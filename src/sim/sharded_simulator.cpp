@@ -130,7 +130,15 @@ void ShardedSimulator::run_shard_window(std::size_t s) {
   ShardCell& cell = shards_[s];
   const std::uint64_t before = cell.sim->dispatched();
   try {
-    cell.sim->run_window(window_end_);
+    if (window_end_ == std::numeric_limits<SimTime>::infinity()) {
+      // Unbounded window: no shard posts again, so the shard's remaining
+      // run is purely local — run it like the 1-shard core, up to its last
+      // regular event (a daemon scheduled inside the window cannot keep
+      // it alive).
+      cell.sim->run();
+    } else {
+      cell.sim->run_window(window_end_);
+    }
   } catch (...) {
     // The shard's state is torn mid-callback; remember the first error and
     // let the barrier complete so the coordinator can shut down and
@@ -146,7 +154,12 @@ void ShardedSimulator::run_shard_window(std::size_t s) {
   if (trace_ != nullptr) {
     obs::ShardTrace* ring = trace_->shard(s);
     if (ring != nullptr) {
-      ring->instant(window_end_, obs::Ev::kWindow, obs::shard_track(s),
+      // An unbounded window is stamped at the shard's last event instead.
+      const SimTime at =
+          window_end_ == std::numeric_limits<SimTime>::infinity()
+              ? cell.sim->now()
+              : window_end_;
+      ring->instant(at, obs::Ev::kWindow, obs::shard_track(s),
                     static_cast<std::uint32_t>(windows_ - 1), ran,
                     ran == 0 ? obs::kFlagEmpty : 0);
     }
@@ -234,27 +247,29 @@ SimTime ShardedSimulator::plan_window(SimTime t_min) {
   // contributes no cap; the promises are cached for `post` to enforce
   // during the window. With no promise anywhere this is exactly
   // `t_min + lookahead`.
-  SimTime horizon = std::numeric_limits<SimTime>::infinity();
+  constexpr SimTime inf = std::numeric_limits<SimTime>::infinity();
+  SimTime horizon = inf;
+  bool daemons = false;
   for (std::size_t s = 0; s < shards_.size(); ++s) {
-    const SimTime next = shards_[s].sim->next_event_time();
-    SimTime bound = next == std::numeric_limits<SimTime>::infinity()
-                        ? next
-                        : next + lookahead_;
+    Simulator& sim = *shards_[s].sim;
+    daemons = daemons || sim.pending() > sim.pending_regular();
+    const SimTime next = sim.next_event_time();
+    SimTime bound = next == inf ? next : next + lookahead_;
     const SimTime promise = promises_[s] ? promises_[s]() : 0.0;
     promised_[s] = promise;
     if (promise > bound) bound = promise;
     horizon = std::min(horizon, bound);
   }
-  // The cap keeps the window finite when every shard promises forever
-  // (the rest of the run is shard-local) and bounds the straddle past a
-  // `run_to` mark.
+  // The promises alone end the window — it may be unbounded when every
+  // shard promises forever (the rest of the run is shard-local). A daemon
+  // chain never runs dry, so while one is pending the window is capped to
+  // stay finite.
   const SimTime base = t_min + lookahead_;
-  const SimTime cap =
-      base + static_cast<double>(kMaxLookaheads) * lookahead_;
-  horizon = std::max(base, std::min(horizon, cap));
-  windows_skipped_ +=
-      static_cast<std::uint64_t>((horizon - base) / lookahead_);
-  return horizon;
+  if (daemons) {
+    horizon = std::min(
+        horizon, base + static_cast<double>(kDaemonLookaheads) * lookahead_);
+  }
+  return std::max(base, horizon);
 }
 
 std::uint64_t ShardedSimulator::run() {
@@ -303,6 +318,7 @@ std::uint64_t ShardedSimulator::run_impl(SimTime mark) {
     // the same whether or not the run was paused here.
     if (bounded && t_min >= mark) break;
     window_end_ = plan_window(t_min);
+    const SimTime base = t_min + lookahead_;
     ++windows_;
     if (trace_ != nullptr) {
       obs::ShardTrace* ring = trace_->coordinator();
@@ -343,6 +359,15 @@ std::uint64_t ShardedSimulator::run_impl(SimTime mark) {
       cell.stats.idle_wall_secs +=
           std::chrono::duration<double>(last - cell.done_at).count();
     }
+    // Skipped-barrier estimate: the whole lookaheads this window ran past
+    // `t_min + lookahead` — up to its horizon, or, for an unbounded
+    // window, up to the latest event it ran.
+    SimTime reach = window_end_;
+    if (reach == std::numeric_limits<SimTime>::infinity()) {
+      reach = base;
+      for (const auto& cell : shards_) reach = std::max(reach, cell.sim->now());
+    }
+    windows_skipped_ += static_cast<std::uint64_t>((reach - base) / lookahead_);
   }
 
   // Workers stay parked on the epoch wait for the next run; the

@@ -50,8 +50,15 @@ namespace lifl::sim {
 ///      (time, source shard, source sequence) order,
 ///   2. computes the horizon H = min over shards of
 ///      max(next event time + `lookahead`, the shard's outbound promise),
-///      capped at `kMaxLookaheads` lookaheads past the bounded-lag bound,
 ///   3. releases all shards to execute events with t < H in parallel.
+/// The window ends where the promises end, with no cap of its own: when
+/// every shard promises forever (+infinity) the rest of the run is
+/// shard-local and one unbounded window finishes it. Two rules keep that
+/// safe. A daemon chain never runs dry, so while any shard holds pending
+/// daemon events the window is capped at `kDaemonLookaheads` lookaheads
+/// past the bounded-lag bound. And a window may straddle a `run_to` mark
+/// (see `run_to`): the horizon depends only on the barrier state, never on
+/// the mark, so pausing cannot change the window sequence.
 /// No shard can post below its own bound during the window (its events
 /// run at or after its next event time, and a promise is enforced at
 /// `post`), so every delivery lands at or beyond H — never in a
@@ -83,11 +90,11 @@ class ShardedSimulator {
     SimTime lookahead = calib::kCrossShardLatencySecs;
   };
 
-  /// Cap on the promise widening, in lookaheads past the bounded-lag
-  /// horizon. It keeps every window finite (idle tails and daemon chains
-  /// would otherwise run unbounded) and bounds how far a window can
-  /// straddle a `run_to` mark.
-  static constexpr std::uint32_t kMaxLookaheads = 256;
+  /// Cap on a window's reach while any shard holds pending daemon events,
+  /// in lookaheads past the bounded-lag horizon: a self-rescheduling
+  /// daemon would otherwise keep an unbounded window running forever.
+  /// Windows with no daemon pending are bounded by the promises alone.
+  static constexpr std::uint32_t kDaemonLookaheads = 256;
 
   /// Always-on per-shard barrier accounting. `idle_wall_secs` is real wall
   /// time the shard spent finished at a window barrier waiting for the
@@ -133,8 +140,9 @@ class ShardedSimulator {
   /// calls (and a final `run()`) dispatches exactly the event sequence an
   /// uninterrupted `run()` would — the property campaign checkpointing
   /// rests on. Two caveats, both inherited from the window protocol: with
-  /// K > 1 a window whose horizon straddles the mark finishes (a handful of
-  /// events at/after `mark` may run before the pause), and in K = 1 mode
+  /// K > 1 a window whose horizon straddles the mark finishes (events
+  /// at/after `mark` — up to the rest of the run, when the promises leave
+  /// the window unbounded — may run before the pause), and in K = 1 mode
   /// daemon events below the mark run even past the last regular event
   /// (plain `run()` would stop at it) — models that keep cross-K
   /// equivalence must not let daemon tails feed measured state, as already
@@ -153,7 +161,8 @@ class ShardedSimulator {
   std::uint64_t windows() const noexcept { return windows_; }
   /// Bounded-lag barriers provably skipped by promise widening (an
   /// estimate: each opened window adds the number of whole lookaheads it
-  /// ran beyond `t_min + lookahead`). Zero when no promise is installed.
+  /// ran beyond `t_min + lookahead` — to its horizon, or to its latest
+  /// event when unbounded). Zero when no promise is installed.
   std::uint64_t windows_skipped() const noexcept { return windows_skipped_; }
 
   /// Install shard `s`'s outbound promise, which widens the window
@@ -225,10 +234,10 @@ class ShardedSimulator {
   /// event time reaches `mark` (+infinity for an unbounded run).
   std::uint64_t run_impl(SimTime mark);
   /// Pick the horizon of the window about to open (serial phase):
-  /// `t_min + lookahead`, widened by the shards' promises. Also caches the
-  /// promises for `post` and ticks the skipped-window estimate — called
-  /// exactly once per *opened* window, after the `run_to` mark check, so
-  /// pausing stays bit-transparent.
+  /// `t_min + lookahead`, widened by the shards' promises (+infinity when
+  /// every shard promises forever and no daemon is pending). Also caches
+  /// the promises for `post` — called exactly once per *opened* window,
+  /// after the `run_to` mark check, so pausing stays bit-transparent.
   SimTime plan_window(SimTime t_min);
   /// Spawn the K-1 worker threads on first multi-shard use; they persist —
   /// parked on the epoch wait — across run/run_to calls (a mark-sliced

@@ -69,12 +69,23 @@ struct Group {
   /// promise (multi-shard runs); re-armed with the round, and
   /// never serialized — resume replay re-derives it from the boundary.
   std::uint64_t relays_done = 0;
+  /// Client updates those posts carried (feeds the async top's promise).
+  std::uint64_t relayed_updates = 0;
   /// Exact look-ahead over this round's arrival chain, for the outbound
   /// promise: a cache the coordinator advances while evaluating promises
   /// (multi-shard runs only). Model events never read it and it is never
   /// serialized; `arm_arrivals` re-positions it on the round's first
   /// arrival.
   wl::ArrivalCursor lookahead;
+  /// The async top's look-ahead over this group's arrival chain, merged
+  /// fleet-wide by its promise (see `CampaignState::fleet_counted`); on the
+  /// group's next uncounted arrival. Same cache rules as `lookahead`.
+  wl::ArrivalCursor fleet_cursor;
+  /// Promise inputs fixed at setup: the unqueued Recv + Agg time of one
+  /// client update at a leaf, and the unqueued latency from an upload's
+  /// launch until a relay output folding it delivers on the top's shard.
+  double fold_secs = 0.0;
+  double relay_floor_secs = 0.0;
 
   // Client-side fault telemetry, cumulative across rounds (group-local
   // event order only, so bitwise shard-invariant; checkpointed).
@@ -167,6 +178,14 @@ struct CampaignState {
   /// Per-version telemetry sink (the result being built): the recurring
   /// top's on_result appends directly from group 0's shard.
   ShardedCampaignResult* out = nullptr;
+  /// The top's version-broadcast promise (multi-shard async runs): the
+  /// fleet-wide merge of the groups' `fleet_cursor`s has counted this many
+  /// arrivals, the last at `fleet_at`. `version_floor_secs` is the unqueued
+  /// latency from an upload's launch to a broadcast it completes landing
+  /// on a group. Coordinator-only caches, never serialized.
+  std::uint64_t fleet_counted = 0;
+  double fleet_at = 0.0;
+  double version_floor_secs = 0.0;
 
   // ---- checkpointing ---------------------------------------------------
   /// Snapshot persistence cost model, on group 0's node (Appendix B path).

@@ -64,6 +64,7 @@ struct GroupRelay {
     u.tensor.reset();
     Group& g = st->groups[group];
     ++g.relays_done;  // feeds the shard's outbound promise
+    g.relayed_updates += u.updates_folded;
     const double t = g.sim->now() + cross_latency_secs(u.logical_bytes);
     st->sharded->post(g.shard, st->groups[0].shard, t,
                       TopInject{st, std::move(u)});
@@ -516,8 +517,10 @@ void arm_arrivals(CampaignState& st, Group& g, std::uint32_t round,
   g.launched = 0;
   g.target = target;
   g.relays_done = 0;
+  g.relayed_updates = 0;
   g.next_rel = g.arrivals->next_after(0.0, g.rng);
   g.lookahead = wl::ArrivalCursor(*g.arrivals, g.rng, g.next_rel, 1);
+  g.fleet_cursor = g.lookahead;
   g.sim->schedule_at(g.epoch + g.next_rel, ArrivalFn{&st, &g});
 }
 
@@ -747,19 +750,43 @@ void validate_config(const ShardedCampaignConfig& cfg) {
   }
 }
 
+/// Fixed mode's per-leaf bound on the group's next relay: it is some live
+/// leaf's Send, which needs that leaf's remaining `goal - aggregated`
+/// folds. They run back to back on the leaf's single-threaded runtime, the
+/// first completing no sooner than the shard's clock (every pending event
+/// is at or past it), each later one a full fold after the previous.
+double next_leaf_relay(const CampaignState& st, const Group& g) {
+  std::uint32_t left = std::numeric_limits<std::uint32_t>::max();
+  for (const auto& a : g.aggs) {
+    if (a->config().role != fl::AggRole::kLeaf || a->done()) continue;
+    const std::uint32_t goal = a->config().goal;
+    left = std::min(left, goal - std::min(a->aggregated(), goal));
+  }
+  if (left == std::numeric_limits<std::uint32_t>::max()) {
+    return std::numeric_limits<double>::infinity();  // no leaf left to send
+  }
+  return g.sim->now() + static_cast<double>(left > 0 ? left - 1 : 0) *
+                            g.fold_secs +
+         cross_latency_secs(st.cfg->model_bytes);
+}
+
 /// Lower bound on the delivery time of group `g`'s next cross-shard post —
 /// its relay aggregate into the top's shard, plus (under quorum) a possible
 /// deadline-shortfall shrink — or +inf when the group provably posts no
-/// more this round. 0 = no useful bound (the bounded-lag horizon rules).
+/// more this round.
 ///
 /// The argument: a relay output needs `needed` folded client updates, and
 /// folds never exceed launched uploads (leases make refolds exactly-once),
-/// so the relay cannot fire before the `needed`-th arrival launches, and
-/// its post delivers a cross-group latency after that. The arrival chain
-/// is the only consumer of `g.rng` during a round, so that arrival's time
-/// is known exactly: the group's look-ahead cursor replays the chain on a
-/// cloned generator. Evaluated only while the shards are parked; the
-/// cursor is the one piece of state it writes, a cache no event reads.
+/// so any `needed` of them include one launched no sooner than the
+/// `needed`-th arrival. That upload still has to cross the whole pipeline
+/// — wire, ingest, the leaf's fold and, in the streaming hierarchy, the
+/// send up and the relay's fold — and the relay's post a cross-group
+/// latency: `relay_floor_secs` in all, queueing only adding to it. The
+/// arrival chain is the only consumer of `g.rng` during a round, so that
+/// arrival's time is known exactly: the group's look-ahead cursor replays
+/// the chain on a cloned generator. Evaluated only while the shards are
+/// parked; the cursor is the one piece of state it writes, a cache no
+/// event reads.
 double group_outbound_bound(const CampaignState& st, Group& g) {
   const ShardedCampaignConfig& cfg = *st.cfg;
   const double inf = std::numeric_limits<double>::infinity();
@@ -797,33 +824,62 @@ double group_outbound_bound(const CampaignState& st, Group& g) {
       break;
     }
   }
-  if (g.launched >= needed) return 0.0;
   // `needed` never shrinks within a round, so the cursor only moves on.
-  const double arrival = g.lookahead.advance_to(needed);
-  const double relay = g.epoch + arrival + cross_latency_secs(cfg.model_bytes);
+  double relay = g.epoch + g.lookahead.advance_to(needed) + g.relay_floor_secs;
+  if (cfg.hierarchy == HierarchyMode::kFixed) {
+    relay = std::max(relay, next_leaf_relay(st, g));
+  }
   return std::min(relay, deadline);
 }
 
 /// Lower bound on the next VersionApply broadcast out of the top's shard
-/// (async mode): the next version needs `async_folded + goal` cumulative
-/// folds, folds never exceed launched uploads, so while the fleet has not
-/// launched that many the emission waits for the earliest next arrival.
-double async_top_bound(const CampaignState& st) {
+/// (async mode). Two arguments, the later bound wins:
+///  - the next version needs `need` cumulative folds at the top, and any
+///    `need` folded uploads include one launched no sooner than the
+///    fleet's `need`-th arrival; that upload still has to reach the top
+///    through its group's relay, fold there, and the broadcast to cross a
+///    group boundary (`version_floor_secs` in all). The `need`-th arrival
+///    is exact: a merge over the groups' look-ahead cursors, which only
+///    moves on because `need` never shrinks;
+///  - the top folds only relay outputs, and a version still open has not
+///    reached its goal, so once the top has folded every client update the
+///    relays posted, the version waits for a relay not yet posted: the
+///    earliest group's next relay delivery, the top's fold, then the
+///    broadcast's hop.
+double async_top_bound(CampaignState& st) {
   const double inf = std::numeric_limits<double>::infinity();
   if (st.round_done) return inf;  // stream over: no more broadcasts
   const std::uint64_t need =
       st.async_folded +
       std::min(st.async_quota, st.async_total - st.async_folded);
-  std::uint64_t launched = 0;
-  for (const Group& g : st.groups) launched += g.launched;
-  if (launched >= need) return 0.0;
-  double arrival = inf;
-  for (const Group& g : st.groups) {
-    if (g.launched >= g.target) continue;
-    arrival = std::min(arrival, g.epoch + g.next_rel);
+  while (st.fleet_counted < need) {
+    Group* first = nullptr;
+    double at = inf;
+    for (Group& g : st.groups) {
+      wl::ArrivalCursor& c = g.fleet_cursor;
+      if (c.index() > g.target) continue;  // chain exhausted
+      const double t = g.epoch + c.advance_to(c.index());
+      if (t < at) {
+        at = t;
+        first = &g;
+      }
+    }
+    if (first == nullptr) return 0.0;  // need outruns the stream: no bound
+    st.fleet_at = at;
+    ++st.fleet_counted;
+    first->fleet_cursor.advance_to(first->fleet_cursor.index() + 1);
   }
-  if (arrival == inf) return 0.0;
-  return arrival + cross_latency_secs(st.cfg->model_bytes);
+  const double fleet = st.fleet_at + st.version_floor_secs;
+
+  std::uint64_t relayed = 0;
+  for (const Group& g : st.groups) relayed += g.relayed_updates;
+  if (relayed > st.async_folded + st.top->folded()) {
+    return fleet;  // a posted relay is still on its way into the top
+  }
+  double relay = inf;
+  for (Group& g : st.groups) relay = std::min(relay, group_outbound_bound(st, g));
+  return std::max(fleet, relay + st.groups[0].fold_secs +
+                             cross_latency_secs(st.cfg->model_bytes));
 }
 
 /// Install the per-shard outbound promises that widen the barrier windows:
@@ -841,12 +897,15 @@ void install_promises(CampaignState& st, sim::ShardedSimulator& sharded) {
       for (Group& g : st.groups) {
         if (g.shard != s || g.shard == top_shard) continue;
         bound = std::min(bound, group_outbound_bound(st, g));
-        if (bound <= 0.0) return 0.0;
       }
       if (is_async && s == top_shard) {
         bound = std::min(bound, async_top_bound(st));
       }
-      return std::max(bound, 0.0);
+      // An unqueued pipeline meets its floor exactly, but the simulated
+      // post sums the same latencies along another path: shave a relative
+      // 1e-12 (orders of magnitude above that rounding) so the bound can
+      // never land an ulp past the real delivery.
+      return bound * (1.0 - 1e-12);
     });
   }
 }
@@ -1036,6 +1095,21 @@ ShardedCampaignResult run_sharded_campaign(const ShardedCampaignConfig& cfg) {
       }
     }
     g.arrivals = std::make_unique<wl::ArrivalProcess>(acfg);
+    // Promise inputs: one leaf fold, and the unqueued pipeline from an
+    // upload's launch (at the population's fastest uplink) to the group's
+    // relay output landing on the top's shard — in the streaming
+    // hierarchy the leaf's partial also crosses a send and the relay's
+    // fold, a fixed-mode leaf is the group output itself.
+    g.fold_secs = fl::AggregatorRuntime::min_fold_secs(*g.plane, 0,
+                                                       cfg.model_bytes);
+    g.relay_floor_secs =
+        g.plane->min_upload_secs(0, cfg.model_bytes,
+                                 g.population.max_uplink_bytes_per_sec()) +
+        g.fold_secs + cross_latency_secs(cfg.model_bytes);
+    if (orchestrated) {
+      g.relay_floor_secs +=
+          g.plane->min_send_secs(0, cfg.model_bytes) + g.fold_secs;
+    }
     if (orchestrated) {
       StreamingHierarchy::Config hcfg;
       hcfg.group = gi;
@@ -1076,7 +1150,17 @@ ShardedCampaignResult run_sharded_campaign(const ShardedCampaignConfig& cfg) {
     }
   }
 
-  if (cfg.shards > 1) install_promises(st, sharded);
+  if (cfg.shards > 1) {
+    // Async version broadcasts: the fastest relay into the top, the top's
+    // fold, then the broadcast's own cross-group hop.
+    double relay_floor = std::numeric_limits<double>::infinity();
+    for (const Group& g : st.groups) {
+      relay_floor = std::min(relay_floor, g.relay_floor_secs);
+    }
+    st.version_floor_secs = relay_floor + st.groups[0].fold_secs +
+                            cross_latency_secs(cfg.model_bytes);
+    install_promises(st, sharded);
+  }
 
   ShardedCampaignResult result;
   MarkGrid grid{cfg, st, sharded, result, {}, {}};
@@ -1115,6 +1199,7 @@ ShardedCampaignResult run_sharded_campaign(const ShardedCampaignConfig& cfg) {
     st.async_folded = 0;
     st.async_version = 1;
     st.version_started_at = epoch;
+    st.fleet_counted = 0;
     std::uint64_t spawned = 0;
     std::uint64_t reused = 0;
 
@@ -1199,10 +1284,17 @@ ShardedCampaignResult run_sharded_campaign(const ShardedCampaignConfig& cfg) {
   for (std::uint32_t round = grid.resumed.round;
        !async && round <= cfg.rounds; ++round) {
     // Round epoch: the latest group clock — identical for every shard
-    // count (each group's event times are shard-count independent).
+    // count (each group's event times are shard-count independent). Idle
+    // shards' clocks are brought up to it, so every group arms its round —
+    // cold starts included — at the epoch, as with one shard, whose single
+    // clock already stands there.
     double epoch = 0.0;
     for (std::size_t s = 0; s < sharded.shard_count(); ++s) {
       epoch = std::max(epoch, sharded.shard(s).now());
+    }
+    for (std::size_t s = 0; s < sharded.shard_count(); ++s) {
+      sim::Simulator& sh = sharded.shard(s);
+      if (sh.pending() == 0) sh.restore_clock(epoch, sh.dispatched());
     }
     st.round_done = false;
     std::uint64_t spawned = 0;

@@ -72,6 +72,21 @@ ClientProfile ClientPopulation::operator[](std::size_t i) const {
   return c;
 }
 
+double ClientPopulation::max_uplink_bytes_per_sec() const noexcept {
+  if (!tiered_) {
+    return mobile_ ? calib::kClientUplinkBytesPerSec
+                   : calib::kServerUplinkBytesPerSec;
+  }
+  double fastest = 0.0;
+  for (const DeviceTier t :
+       {DeviceTier::kFlagship, DeviceTier::kMidRange, DeviceTier::kIoT}) {
+    if (tier_count(t) > 0) {
+      fastest = std::max(fastest, tier_traits(t).uplink_bytes_per_sec);
+    }
+  }
+  return fastest;
+}
+
 std::vector<std::size_t> ClientPopulation::sample(std::size_t k,
                                                   sim::Rng& rng) const {
   k = std::min(k, count_);

@@ -61,6 +61,8 @@ class ClientPopulation {
   std::size_t size() const noexcept { return count_; }
 
   bool tiered() const noexcept { return tiered_; }
+  /// The fastest uplink any client of this population has.
+  double max_uplink_bytes_per_sec() const noexcept;
   /// Device class of index `i`. Untiered populations report every client
   /// as mid-range (matching the profile's default tier).
   DeviceTier tier_of(std::size_t i) const noexcept {

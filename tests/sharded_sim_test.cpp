@@ -208,6 +208,59 @@ TEST(ShardedSim, MailboxDeliversInTimestampOrderAcrossWindows) {
   EXPECT_GT(sharded.windows(), 10u);
 }
 
+// Windows end where the promises end; with every shard promising never to
+// post again, only the daemon rule keeps a window finite.
+TEST(ShardedSim, DaemonChainKeepsPromiseBoundedWindowsFinite) {
+  ShardedSimulator sharded(ShardedSimulator::Config{2, 0.5});
+  // Shard 0: a self-rescheduling daemon, alive for the whole run.
+  int ticks = 0;
+  std::function<void()> tick = [&] {
+    ++ticks;
+    sharded.shard(0).schedule_daemon_after(0.1, [&] { tick(); });
+  };
+  sharded.shard(0).schedule_daemon_at(0.0, [&] { tick(); });
+  // Shard 1: finite regular work spread over 1,000 s.
+  int regular = 0;
+  for (int i = 1; i <= 10; ++i) {
+    sharded.shard(1).schedule_at(100.0 * i, [&regular] { ++regular; });
+  }
+  for (std::size_t s = 0; s < 2; ++s) {
+    sharded.set_promise(
+        s, [] { return std::numeric_limits<SimTime>::infinity(); });
+  }
+  sharded.run();
+  EXPECT_EQ(regular, 10);
+  // Capped at kDaemonLookaheads lookaheads past the bounded-lag horizon,
+  // each window spans at most 128.5 s of the 1,000 s of work. As with one
+  // shard the daemon ticks all through that work, and no further than the
+  // last window's horizon.
+  const double reach =
+      (ShardedSimulator::kDaemonLookaheads + 1) * sharded.lookahead();
+  EXPECT_LE(static_cast<double>(sharded.windows()), 1000.0 / reach + 2.0);
+  EXPECT_GE(ticks, 10'000);
+  EXPECT_LE(ticks, static_cast<int>((1000.0 + reach) / 0.1) + 1);
+
+  // A daemon chain started inside an unbounded window (no daemon pending
+  // when it opened) stops with its shard's last regular event.
+  ShardedSimulator late(ShardedSimulator::Config{2, 0.5});
+  int late_ticks = 0;
+  std::function<void()> late_tick = [&] {
+    ++late_ticks;
+    late.shard(1).schedule_daemon_after(0.1, [&] { late_tick(); });
+  };
+  late.shard(1).schedule_at(1.0, [&] { late_tick(); });
+  late.shard(1).schedule_at(2.0, [] {});
+  late.shard(0).schedule_at(3.0, [] {});
+  for (std::size_t s = 0; s < 2; ++s) {
+    late.set_promise(s,
+                     [] { return std::numeric_limits<SimTime>::infinity(); });
+  }
+  late.run();
+  EXPECT_EQ(late.windows(), 1u);
+  EXPECT_EQ(late.shard(1).now(), 2.0);
+  EXPECT_LE(late_ticks, 11);
+}
+
 // ---------------------------------------------------------------------------
 // Adversarial churn stress: ~50k events across 8 logical groups whose
 // cross-posts land exactly on window-boundary grid points, exactly at the
@@ -516,6 +569,45 @@ TEST(ShardedCampaign, GatewayRssQueuesPreserveEquivalence) {
     EXPECT_DOUBLE_EQ(mono.groups[g].gateway_busy_secs,
                      multi.groups[g].gateway_busy_secs);
   }
+}
+
+TEST(ShardedCampaign, FixedModePerLeafPromisesStayBitwise) {
+  // Fixed mode relays every leaf separately, and the gateways saturate, so
+  // each relay's window ends on the per-leaf fold bound of the leaf
+  // closest to its goal. A wrong bound would throw at the post; a sound
+  // one must leave every result bitwise equal to the 1-shard oracle, with
+  // about one window per relay.
+  auto cfg = small_campaign(1);
+  cfg.leaves_per_group = 12;
+  cfg.updates_per_leaf = 25;
+  cfg.peak_per_sec = 20'000.0;
+  cfg.gateway_cores = 2;
+  cfg.gateway_queues = 0;
+  const auto mono = lifl::sys::run_sharded_campaign(cfg);
+  cfg.shards = 4;
+  const auto multi = lifl::sys::run_sharded_campaign(cfg);
+
+  ASSERT_EQ(mono.round_completed_at.size(), multi.round_completed_at.size());
+  for (std::size_t r = 0; r < mono.round_completed_at.size(); ++r) {
+    EXPECT_EQ(mono.round_completed_at[r], multi.round_completed_at[r]);
+    EXPECT_EQ(mono.round_samples[r], multi.round_samples[r]);
+    EXPECT_EQ(mono.round_weight[r], multi.round_weight[r]);
+  }
+  ASSERT_EQ(mono.groups.size(), multi.groups.size());
+  for (std::size_t g = 0; g < mono.groups.size(); ++g) {
+    EXPECT_EQ(mono.groups[g].uploads, multi.groups[g].uploads);
+    EXPECT_EQ(mono.groups[g].gateway_wait_secs,
+              multi.groups[g].gateway_wait_secs);
+    EXPECT_EQ(mono.groups[g].cpu_cycles, multi.groups[g].cpu_cycles);
+  }
+  EXPECT_EQ(mono.events, multi.events);
+  EXPECT_EQ(mono.sim_secs, multi.sim_secs);
+  EXPECT_GT(mono.groups[1].gateway_wait_secs, 0.0);  // queues really formed
+  // 3 relaying groups x 12 leaves x 2 rounds.
+  EXPECT_EQ(multi.cross_posts, 72u);
+  const std::uint64_t group_rounds =
+      mono.round_completed_at.size() * mono.groups.size();
+  EXPECT_LE(multi.windows, 2 * multi.cross_posts + group_rounds);
 }
 
 }  // namespace

@@ -5,8 +5,7 @@
 // oracle, whose own results are pinned by golden digests so a change that
 // moves every shard count together still fails. A window-budget check
 // guards the barrier's cost: with exact look-ahead promises a 4-shard run
-// stays near the count the lookahead cap allows, never one window per few
-// arrivals.
+// needs about one window per cross-shard post, never one per few arrivals.
 
 #include <gtest/gtest.h>
 
@@ -19,14 +18,11 @@
 #include <string>
 #include <vector>
 
-#include "src/sim/calibration.hpp"
-#include "src/sim/sharded_simulator.hpp"
 #include "src/systems/sharded_campaign.hpp"
 #include "src/workload/device_tier.hpp"
 
 namespace {
 
-namespace sim = lifl::sim;
 namespace sys = lifl::sys;
 namespace wl = lifl::wl;
 
@@ -308,14 +304,14 @@ TEST(SyncEquivalence, MatrixBitwiseEqualToOneShardOracle) {
 }
 
 // ---------------------------------------------------------------------------
-// Window budget: exact look-ahead promises keep the barrier cap-bound.
+// Window budget: promise-bounded windows end at the posts themselves.
 
 /// Long, busy rounds (~15 sim s, 500 arrivals per group) at one leaf per
-/// group, so every mode's relay threshold is the group target: the exact
-/// promise then holds each group shard's horizon at its target-th arrival,
-/// and the windows are bounded by the 257-lookahead cap. A barrier that
-/// falls back to one window per few arrivals (2,000 uploads per round)
-/// overshoots the budget many times over.
+/// group, so every mode's relay threshold is the group target. A window
+/// ends where the shards' promises end — at the earliest relay a shard can
+/// still post — so a barrier that falls back to one window per few
+/// arrivals, or to a fixed stretch of simulated time, overshoots the
+/// budget many times over.
 sys::ShardedCampaignConfig budget_campaign(sys::HierarchyMode mode,
                                            std::size_t shards) {
   sys::ShardedCampaignConfig cfg;
@@ -339,7 +335,7 @@ sys::ShardedCampaignConfig budget_campaign(sys::HierarchyMode mode,
   return cfg;
 }
 
-TEST(SyncEquivalence, LookaheadPromisesKeepWindowsNearTheCap) {
+TEST(SyncEquivalence, LookaheadPromisesEndWindowsAtCrossPosts) {
   struct Mode {
     const char* name;
     sys::HierarchyMode hierarchy;
@@ -355,25 +351,14 @@ TEST(SyncEquivalence, LookaheadPromisesKeepWindowsNearTheCap) {
     const auto r = sys::run_sharded_campaign(budget_campaign(m.hierarchy, 4));
     expect_bitwise(oracle, r, m.name);
 
-    if (m.hierarchy == sys::HierarchyMode::kAsync) {
-      // The top's version-broadcast promise is still next-arrival based,
-      // so async windows track the fleet's arrivals until each version's
-      // quota has launched; exact group promises keep them below one per
-      // upload (per-arrival group promises land well above it).
-      std::uint64_t uploads = 0;
-      for (const sys::ShardedGroupStats& g : r.groups) uploads += g.uploads;
-      EXPECT_LT(r.windows, uploads) << m.name;
-      continue;
-    }
-    // Cap-bound count: a window spans at most kMaxLookaheads + 1
-    // lookaheads, plus about one promise-ended window per group relay.
-    const double lookahead = sim::calib::kCrossShardLatencySecs;
-    const double cap_bound =
-        r.sim_secs / ((sim::ShardedSimulator::kMaxLookaheads + 1) * lookahead);
+    // About one window per cross post — a relay into the top, or an async
+    // version broadcast out of it — plus each round's last, unbounded
+    // window and a drain-tail window per group round at most.
     const double group_rounds =
         static_cast<double>(r.round_started_at.size() * r.groups.size());
-    EXPECT_LE(static_cast<double>(r.windows), 1.2 * cap_bound + group_rounds)
-        << m.name << ": cap-bound " << cap_bound;
+    EXPECT_LE(static_cast<double>(r.windows),
+              2.0 * static_cast<double>(r.cross_posts) + group_rounds)
+        << m.name << ": " << r.cross_posts << " cross posts";
   }
 }
 
