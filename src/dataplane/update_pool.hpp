@@ -26,24 +26,29 @@ namespace lifl::dp {
 /// aggregator in-memory queue, with costs billed by the plane.
 class UpdatePool {
  public:
-  /// Consumer callback. A `sim::TaskFn` (24-byte inline, move-only): the
-  /// aggregator's pool waiter is a 16-byte {ctx} functor, so parking and
-  /// waking a consumer never heap-allocates for the callable itself.
+  /// Consumer callback, invoked once per update it is handed. A
+  /// `sim::TaskFn` (24-byte inline, move-only): the aggregator's pool
+  /// waiter is a 16-byte {ctx} functor, so parking and waking a consumer
+  /// never heap-allocates for the callable itself.
   using Waiter = sim::TaskFn<fl::ModelUpdate>;
 
   explicit UpdatePool(sim::Simulator& sim) : sim_(sim) {}
 
-  /// Enqueue; wakes the longest-waiting consumer, if any. Delivery happens
-  /// at the current instant through the simulator's zero-delay fast path.
-  /// The {waiter, update} hand-off is parked in the pool's hand-off slab
-  /// and the event is a 12-byte {pool, slot} trampoline, so once the slab,
-  /// the queues and the simulator have reached their working size a push
-  /// allocates nothing. Parked hand-offs die with the pool: its trampolines
-  /// must not run after it is destroyed (as for the plane's resources).
+  /// Enqueue; takes one credit from the oldest demand record, if any, and
+  /// hands the update to that record's consumer at the current instant
+  /// through the simulator's zero-delay fast path. The {record, update}
+  /// hand-off is parked in the pool's hand-off slab and the event is a
+  /// 12-byte {pool, slot} trampoline, so once the slabs, the queues and the
+  /// simulator have reached their working size a push allocates nothing.
+  /// Parked hand-offs die with the pool: its trampolines must not run after
+  /// it is destroyed (as for the plane's resources).
   void push(fl::ModelUpdate u) {
     ++total_pushed_;
-    if (!waiters_.empty()) {
-      hand_off(waiters_.take_front(), std::move(u));
+    if (!demand_fifo_.empty()) {
+      const std::uint32_t slot = demand_fifo_.front();
+      --credits_;
+      if (--demands_[slot].credits == 0) demand_fifo_.take_front();
+      hand_off(slot, std::move(u));
       return;
     }
     entries_.push_back(Entry{std::move(u), sim_.now()});
@@ -58,19 +63,53 @@ class UpdatePool {
     return true;
   }
 
-  /// Asynchronous pop: fires immediately if buffered, else on next push.
-  void pop_async(Waiter w) {
-    if (!entries_.empty()) {
-      hand_off(std::move(w), take_front());
-      return;
+  /// Asynchronous pop of `n` updates for one consumer, served exactly as
+  /// `n` single-update pops in a row would be: each buffered update goes
+  /// to `w` at once (one zero-delay hand-off each), and the rest of the
+  /// demand is parked, in FIFO order behind earlier demand, as ONE
+  /// run-length record {w, credits} that later pushes draw down. A leaf
+  /// arming a 500-update batch parks one record, not 500 waiters.
+  void pop_async(Waiter w, std::uint32_t n = 1) {
+    if (n == 0) return;
+    const std::uint32_t slot = demands_.claim();
+    Demand& d = demands_[slot];
+    d.w = std::move(w);
+    d.credits = n;
+    d.pending = 0;
+    // `d` stays valid: serving parks hand-offs, never demand records.
+    while (d.credits > 0 && !entries_.empty()) {
+      --d.credits;
+      hand_off(slot, take_front());
     }
-    waiters_.push_back(std::move(w));
+    if (d.credits == 0) return;  // the in-flight hand-offs hold the record
+    credits_ += d.credits;
+    demand_fifo_.push_back(slot);
   }
 
-  /// Remove all unclaimed waiters (e.g. when aggregators are torn down).
+  /// Withdraw all unclaimed demand and depth watchers (e.g. when
+  /// aggregators are torn down). Hand-offs already scheduled still reach
+  /// their consumer; a record is recycled once its last one has fired.
   void clear_waiters() {
-    waiters_.clear();
+    while (!demand_fifo_.empty()) {
+      const std::uint32_t slot = demand_fifo_.take_front();
+      Demand& d = demands_[slot];
+      d.credits = 0;
+      if (d.pending == 0) {
+        d.w = nullptr;
+        demands_.release(slot);
+      }
+    }
+    credits_ = 0;
     depth_watchers_.clear();
+  }
+
+  /// Re-queue an update whose hand-off reached a consumer that had already
+  /// retired (stopped, re-armed or crashed): a plain `push`, counted in
+  /// `stale_handoffs()`. The count feeds no decision, so it leaves results
+  /// bitwise identical.
+  void bounce(fl::ModelUpdate u) {
+    ++stale_handoffs_;
+    push(std::move(u));
   }
 
   /// Fire `fn` once the pool holds at least `n` buffered updates
@@ -140,13 +179,19 @@ class UpdatePool {
   std::uint64_t leases_aborted() const noexcept { return total_aborted_; }
 
   std::size_t depth() const noexcept { return entries_.size(); }
-  std::size_t waiter_count() const noexcept { return waiters_.size(); }
+  /// Updates owed to parked consumers: the credits outstanding across all
+  /// demand records (one per update a single-update pop would have parked).
+  std::size_t waiter_count() const noexcept { return credits_; }
+  /// Demand records parked or held by in-flight hand-offs.
+  std::size_t demand_records() const noexcept { return demands_.live(); }
   std::size_t depth_watcher_count() const noexcept {
     return depth_watchers_.size();
   }
   std::size_t max_depth() const noexcept { return max_depth_; }
   std::uint64_t total_pushed() const noexcept { return total_pushed_; }
   double total_queueing_delay() const noexcept { return total_delay_; }
+  /// Hand-offs that reached a retired consumer and were bounced back.
+  std::uint64_t stale_handoffs() const noexcept { return stale_handoffs_; }
 
   /// Attach a passive per-pop queue-wait observer (the campaign's
   /// gateway-wait histogram). Observing never touches sim state, so an
@@ -159,7 +204,7 @@ class UpdatePool {
   /// verbatim so post-resume accumulation stays bitwise identical.
   void restore_stats(std::size_t max_depth, std::uint64_t total_pushed,
                      double total_delay) {
-    if (!entries_.empty() || !waiters_.empty() || !depth_watchers_.empty()) {
+    if (!entries_.empty() || credits_ != 0 || !depth_watchers_.empty()) {
       throw std::logic_error("UpdatePool::restore_stats: pool is not idle");
     }
     max_depth_ = max_depth;
@@ -178,9 +223,18 @@ class UpdatePool {
     sim::Task fn;
   };
 
+  /// A run of demand from one consumer: `credits` updates still owed to
+  /// `w`, and `pending` hand-offs to it scheduled but not yet fired. The
+  /// record is recycled once both are zero.
+  struct Demand {
+    Waiter w;
+    std::uint32_t credits = 0;
+    std::uint32_t pending = 0;
+  };
+
   /// A consumer wake-up scheduled for the current instant.
   struct Handoff {
-    Waiter w;
+    std::uint32_t demand;  ///< slot in `demands_`
     fl::ModelUpdate u;
   };
   struct HandoffFn {
@@ -193,16 +247,25 @@ class UpdatePool {
   /// storage once every hand-off fired instead of pinning it.
   static constexpr std::size_t kHandoffsKept = 64;
 
-  void hand_off(Waiter w, fl::ModelUpdate u) {
-    const std::uint32_t slot =
-        handoffs_.park(Handoff{std::move(w), std::move(u)});
+  void hand_off(std::uint32_t demand, fl::ModelUpdate u) {
+    ++demands_[demand].pending;
+    const std::uint32_t slot = handoffs_.park(Handoff{demand, std::move(u)});
     sim_.schedule_now(HandoffFn{this, slot});
   }
 
   void fire(std::uint32_t slot) {
     Handoff h = handoffs_.take(slot);
     handoffs_.release_if_idle(kHandoffsKept);
-    h.w(std::move(h.u));
+    // The waiter runs outside the slab: it may park new demand, which can
+    // grow (move) the slab under a callable running in place.
+    Waiter w = std::move(demands_[h.demand].w);
+    w(std::move(h.u));
+    Demand& d = demands_[h.demand];
+    if (--d.pending == 0 && d.credits == 0) {
+      demands_.release(h.demand);
+    } else {
+      d.w = std::move(w);
+    }
   }
 
   /// Fire every watcher satisfied by the current depth as ONE batched
@@ -238,7 +301,9 @@ class UpdatePool {
 
   sim::Simulator& sim_;
   sim::Fifo<Entry> entries_;
-  sim::Fifo<Waiter> waiters_;
+  sim::Slab<Demand> demands_;             ///< demand records, by slot
+  sim::Fifo<std::uint32_t> demand_fifo_;  ///< slots with credits, oldest first
+  std::size_t credits_ = 0;               ///< sum over `demand_fifo_`
   sim::Slab<Handoff> handoffs_;  ///< parked wake-ups, by HandoffFn::slot
   std::vector<DepthWatcher> depth_watchers_;
   std::map<fl::ParticipantId, std::vector<fl::ModelUpdate>> leases_;
@@ -247,6 +312,7 @@ class UpdatePool {
   std::uint64_t total_retained_ = 0;
   std::uint64_t total_acked_ = 0;
   std::uint64_t total_aborted_ = 0;
+  std::uint64_t stale_handoffs_ = 0;
   double total_delay_ = 0.0;
   obs::HistSlot wait_obs_;  ///< passive; disabled by default
 };

@@ -50,7 +50,7 @@ void AggregatorRuntime::validate_config() const {
   }
   if (cfg_.pull_from_pool && cfg_.goal_kind != GoalKind::kMessages) {
     // Pool pulls are accounted per message; a folded-count goal cannot size
-    // the number of pop_async waiters to park.
+    // the pool demand to park.
     throw std::invalid_argument(
         "AggregatorRuntime: pull_from_pool requires a message-count goal");
   }
@@ -73,7 +73,7 @@ bool AggregatorRuntime::goal_reached() const noexcept {
 void AggregatorRuntime::PoolWaiter::operator()(ModelUpdate u) const {
   if (c->rt == nullptr) {
     // Instance went away; put the update back for a successor.
-    c->plane->env(c->node).pool.push(std::move(u));
+    c->plane->env(c->node).pool.bounce(std::move(u));
     return;
   }
   // Taking the update out of the queue is a broker delivery on brokered
@@ -83,7 +83,7 @@ void AggregatorRuntime::PoolWaiter::operator()(ModelUpdate u) const {
 
 void AggregatorRuntime::ConsumeReady::operator()(ModelUpdate u) const {
   if (c->rt == nullptr) {
-    c->plane->env(c->node).pool.push(std::move(u));
+    c->plane->env(c->node).pool.bounce(std::move(u));
     return;
   }
   c->rt->deliver(std::move(u));
@@ -192,7 +192,7 @@ void AggregatorRuntime::set_goal(std::uint32_t goal, bool open) {
   cfg_.goal = goal;
   cfg_.goal_open = open;
   if (!started_ || sent_) return;
-  // A grown goal may need more pool pulls (the while loop no-ops when the
+  // A grown goal may need more pool pulls (maybe_pull no-ops when the
   // goal shrank below what was already pulled); a shrunken goal may already
   // be met by the folded state, or be reachable from the FIFO alone.
   maybe_pull();
@@ -269,9 +269,9 @@ void AggregatorRuntime::maybe_pull() {
     });
     return;
   }
-  while (pulled_ < cfg_.goal) {
-    ++pulled_;
-    pool.pop_async(PoolWaiter{ctx_});
+  if (pulled_ < cfg_.goal) {
+    pool.pop_async(PoolWaiter{ctx_}, cfg_.goal - pulled_);
+    pulled_ = cfg_.goal;
   }
 }
 

@@ -245,7 +245,8 @@ class AggregatorRuntime {
     dp::DataPlane* plane;
     sim::NodeId node;
   };
-  /// Pool-waiter callback (16 bytes; UpdatePool waiter slot stays inline).
+  /// Pool-waiter callback (16 bytes; UpdatePool waiter slot stays inline),
+  /// invoked once per update the pool hands to this instance.
   struct PoolWaiter {
     std::shared_ptr<Ctx> c;
     void operator()(ModelUpdate u) const;

@@ -34,6 +34,9 @@ class Fifo {
   bool empty() const noexcept { return size_ == 0; }
   std::size_t size() const noexcept { return size_; }
 
+  /// The oldest element; the queue must not be empty.
+  T& front() noexcept { return *head_->at(head_i_); }
+
   void push_back(T v) {
     if (tail_ == nullptr || tail_i_ == kPerChunk) {
       Chunk* c = new_chunk();

@@ -1401,6 +1401,7 @@ ShardedCampaignResult run_sharded_campaign(const ShardedCampaignConfig& cfg) {
     ShardedGroupStats s;
     s.uploads = g.total_uploads;
     s.pool_pushed = g.plane->env(0).pool.total_pushed();
+    result.stale_handoffs += g.plane->env(0).pool.stale_handoffs();
     s.gateway_busy_secs = g.plane->env(0).gateway.busy_time();
     s.gateway_wait_secs = g.plane->env(0).gateway.total_wait_time();
     s.cpu_cycles = g.cluster->total_cpu().total_cycles();

@@ -242,6 +242,11 @@ struct ShardedCampaignResult {
   std::uint64_t reused_total = 0;
   std::uint64_t replans = 0;      ///< mid-round plan changes applied
   std::uint64_t leaf_drains = 0;  ///< partial accumulators drained on shrink
+  /// Pool hand-offs that reached an already retired leaf (drained,
+  /// re-armed or crashed) and were pushed straight back to the pool. A
+  /// passive count, summed over the groups' pools; process-local like
+  /// `checkpoints_written` (a resumed run counts from its restart).
+  std::uint64_t stale_handoffs = 0;
   std::uint32_t peak_leaves = 0;  ///< max concurrent leaves in any group
   std::uint64_t events = 0;       ///< dispatched across all shards
   std::uint64_t cross_posts = 0;  ///< cross-shard mailbox traffic

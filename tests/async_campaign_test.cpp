@@ -277,4 +277,36 @@ TEST(AsyncCampaign, AutoQuotaIsShardInvariant) {
                        " shards");
 }
 
+// ------------------------------------------------------ stale hand-offs
+
+/// `async_campaign(1)`'s event and pool-push totals, measured before the
+/// pool counted stale hand-offs.
+constexpr std::uint64_t kUncountedEvents = 8'164;
+constexpr std::uint64_t kUncountedPoolPushes = 1'338;
+
+TEST(AsyncCampaign, StaleHandoffsAreCountedWithoutChangingResults) {
+  // Leaves force-sealed at the deadline or re-armed leave pull credits
+  // parked in the pool; a push that lands on one is bounced straight back.
+  // Counting the bounces is passive: the run keeps the event and pool-push
+  // totals it had before the count existed (pinned below), every bounce is
+  // one of the pool pushes beyond the uploads, and the count itself is the
+  // same at every shard count.
+  const auto one = sys::run_sharded_campaign(async_campaign(1));
+  EXPECT_GT(one.stale_handoffs, 0u);
+  std::uint64_t uploads = 0;
+  std::uint64_t pushes = 0;
+  for (const auto& g : one.groups) {
+    uploads += g.uploads;
+    pushes += g.pool_pushed;
+  }
+  EXPECT_LE(one.stale_handoffs, pushes - uploads);
+  EXPECT_EQ(one.events, kUncountedEvents);
+  EXPECT_EQ(pushes, kUncountedPoolPushes);
+  const auto many = sys::run_sharded_campaign(async_campaign(env_shards()));
+  EXPECT_EQ(one.stale_handoffs, many.stale_handoffs);
+  expect_identical(one, many,
+                   "stale count, 1 vs " + std::to_string(env_shards()) +
+                       " shards");
+}
+
 }  // namespace

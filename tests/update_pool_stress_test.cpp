@@ -2,7 +2,8 @@
 // with mixed synchronous pops, async waiters and depth watchers must
 // produce *exactly* the delivery order of the seed implementation (which
 // scheduled one discrete zero-delay event per delivery and one per watcher
-// wake-up).
+// wake-up, and parked one waiter per expected update where the pool now
+// parks one run-length record per multi-update pull).
 
 #include <gtest/gtest.h>
 
@@ -54,6 +55,11 @@ class ReferencePool {
     return true;
   }
 
+  /// A pull of `n` updates is `n` single pulls in a row.
+  void pop_async(const Waiter& w, std::uint32_t n) {
+    for (std::uint32_t i = 0; i < n; ++i) pop_async(w);
+  }
+
   void pop_async(Waiter w) {
     if (!entries_.empty()) {
       fl::ModelUpdate u = std::move(entries_.front());
@@ -93,9 +99,12 @@ fl::ModelUpdate update(fl::ParticipantId producer) {
 }
 
 /// Drives an identical randomized operation schedule against a pool and
-/// records every observable delivery in order.
+/// records every observable delivery in order. Async pulls ask for 1 to
+/// `max_run` updates at once (1: the single-update schedule, drawing no
+/// run lengths); each delivery logs which pull it served.
 template <typename Pool>
-std::vector<std::string> drive(std::size_t pushes, std::uint64_t seed) {
+std::vector<std::string> drive(std::size_t pushes, std::uint64_t seed,
+                               std::uint32_t max_run = 1) {
   sim::Simulator sim;
   Pool pool(sim);
   sim::Rng rng(seed);
@@ -103,6 +112,7 @@ std::vector<std::string> drive(std::size_t pushes, std::uint64_t seed) {
 
   fl::ParticipantId next_producer = 1;
   int watcher_id = 0;
+  int pull_id = 0;
   double t = 0.0;
   for (std::size_t i = 0; i < pushes; ++i) {
     // Operations land at weakly increasing times with frequent same-instant
@@ -114,10 +124,17 @@ std::vector<std::string> drive(std::size_t pushes, std::uint64_t seed) {
         pool.push(update(id));
       });
     } else if (op < 0.75) {
-      sim.schedule_at(t, [&pool, &log] {
-        pool.pop_async([&log](fl::ModelUpdate u) {
-          log.push_back("waiter:" + std::to_string(u.producer));
-        });
+      const std::uint32_t n =
+          max_run == 1
+              ? 1
+              : 1 + static_cast<std::uint32_t>(rng.uniform_index(max_run));
+      sim.schedule_at(t, [&pool, &log, n, id = pull_id++] {
+        pool.pop_async(
+            [&log, id](fl::ModelUpdate u) {
+              log.push_back("waiter" + std::to_string(id) + ":" +
+                            std::to_string(u.producer));
+            },
+            n);
       });
     } else if (op < 0.85) {
       sim.schedule_at(t, [&pool, &log] {
@@ -157,6 +174,26 @@ TEST(UpdatePoolStress, SeveralSeedsStayEquivalent) {
     EXPECT_EQ(drive<ReferencePool>(20'000, seed),
               drive<UpdatePool>(20'000, seed))
         << "seed " << seed;
+  }
+}
+
+TEST(UpdatePoolStress, MultiUpdatePullsMatchSingleUpdatePulls) {
+  // Run-length records against the reference's one waiter per update, with
+  // pulls of up to 8 and of up to 64 updates: runs are served partly from
+  // the buffer, park behind each other and are drawn down across many
+  // pushes, with synchronous pops and depth watchers interleaved.
+  for (const std::uint32_t max_run : {8u, 64u}) {
+    for (const std::uint64_t seed : {3ull, 11ull, 2024ull}) {
+      const auto reference = drive<ReferencePool>(20'000, seed, max_run);
+      const auto fast = drive<UpdatePool>(20'000, seed, max_run);
+      ASSERT_EQ(reference.size(), fast.size())
+          << "max_run " << max_run << " seed " << seed;
+      for (std::size_t i = 0; i < reference.size(); ++i) {
+        ASSERT_EQ(reference[i], fast[i])
+            << "max_run " << max_run << " seed " << seed
+            << ": first divergence at index " << i;
+      }
+    }
   }
 }
 

@@ -2,7 +2,9 @@
 // slabs, queues and pools have warmed up, a client upload (gateway ingest,
 // shm lease, node-pool hand-off, leaf fold), a resumable-upload chunk, and a
 // brokered send or consume make (almost) no heap allocations; a whole
-// resumable session with disconnects stays within a looser budget.
+// resumable session with disconnects stays within a looser budget; and a
+// round start that parks every leaf's whole batch of pulls at once costs at
+// most one allocation in all and one pool demand record per leaf.
 //
 // The counting `operator new` below replaces the global one for this test
 // binary only; the library itself never replaces the allocator.
@@ -12,7 +14,9 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <new>
+#include <vector>
 
 #include "src/dataplane/dataplane.hpp"
 #include "src/dataplane/resumable_upload.hpp"
@@ -225,6 +229,69 @@ TEST(UploadAllocBudget, ResumableSessionIntoPullingLeaf) {
   EXPECT_GT(ss.selected_to_done_secs, 0.0);
   EXPECT_TRUE(ss.live.empty());
   EXPECT_TRUE(ss.parked.empty());
+}
+
+TEST(UploadAllocBudget, RoundStartParksOneDemandRecordPerLeaf) {
+  // A planned round start: 62 leaves each arm a 500-update batch of pool
+  // pulls at the same instant, against an empty pool. The pool parks one
+  // run-length record per leaf, so once a warm-up round has grown the
+  // record storage, re-parking the 31,000 pulls allocates (almost) nothing.
+  // One waiter per pull would regrow ~1 MB of queue chunks every round
+  // (1,873 allocations here).
+  constexpr std::size_t kLeaves = 62;
+  constexpr std::uint32_t kBatch = 500;
+  sim::Simulator sim;
+  sim::Cluster cluster(sim, 1);
+  dp::DataPlane plane(cluster, dp::lifl_plane(), sim::Rng(7));
+  dp::UpdatePool& pool = plane.env(0).pool;
+  std::uint64_t sent = 0;
+  // Leaves start with an open, empty goal; `set_goal` arms the batch, which
+  // isolates the pool's parking from the re-arm's routing updates.
+  const auto open_leaf = [&sent](std::size_t i) {
+    fl::AggregatorRuntime::Config lc;
+    lc.id = 100 + i;
+    lc.node = 0;
+    lc.goal = 0;
+    lc.goal_open = true;
+    lc.result_bytes = kBytes;
+    lc.pull_from_pool = true;
+    lc.on_result = [&sent](fl::ModelUpdate) { ++sent; };
+    return lc;
+  };
+  std::vector<std::unique_ptr<fl::AggregatorRuntime>> leaves;
+  for (std::size_t i = 0; i < kLeaves; ++i) {
+    leaves.push_back(
+        std::make_unique<fl::AggregatorRuntime>(plane, open_leaf(i)));
+    leaves.back()->start();
+  }
+  const auto arm_round = [&] {
+    for (auto& leaf : leaves) leaf->set_goal(kBatch);
+  };
+
+  // Warm-up round: arm, feed every pull, let every leaf Send.
+  arm_round();
+  for (std::uint64_t i = 0; i < kLeaves * kBatch; ++i) {
+    plane.seed_update(0, update(i));
+  }
+  sim.run();
+  ASSERT_EQ(sent, kLeaves);
+  ASSERT_EQ(pool.waiter_count(), 0u);
+  for (std::size_t i = 0; i < kLeaves; ++i) leaves[i]->rearm(open_leaf(i));
+
+  const std::uint64_t a0 = g_allocs.load(std::memory_order_relaxed);
+  arm_round();
+  const std::uint64_t a1 = g_allocs.load(std::memory_order_relaxed);
+  EXPECT_EQ(pool.waiter_count(), kLeaves * kBatch);
+  EXPECT_LE(pool.demand_records(), kLeaves);
+  EXPECT_LE(a1 - a0, 1u) << "allocations re-parking the round";
+
+  // The parked runs still serve the round.
+  for (std::uint64_t i = 0; i < kLeaves * kBatch; ++i) {
+    plane.seed_update(0, update(i));
+  }
+  sim.run();
+  EXPECT_EQ(sent, 2 * kLeaves);
+  EXPECT_EQ(pool.demand_records(), 0u);
 }
 
 }  // namespace
